@@ -85,8 +85,10 @@
 //       issues the request, prints the response payload (stdout for
 //       ok/findings, stderr otherwise) and exits with the CLI contract
 //       (0/1/2/3; load-shed and draining refusals map to 3). The limit
-//       flags ride in the request's budget headers. Verdict output is
-//       byte-identical to the one-shot command.
+//       flags ride in the request's budget headers. check, lint, witness
+//       and implies run the same src/command/ function as the one-shot
+//       command, so stdout, a failure's stderr and the exit code match
+//       it by construction.
 //
 // Fault injection: every command honors CRSAT_FAILPOINTS (grammar in
 // src/base/failpoint.h), arming deterministic failures on the recovery
@@ -109,17 +111,18 @@
 #include <thread>
 #include <utility>
 
+#include "src/base/string_util.h"
+#include "src/command/command.h"
 #include "src/crsat.h"
 #include "src/server/client.h"
 #include "src/server/server.h"
 
 namespace {
 
-// Distinct exit codes so scripts can tell outcomes apart.
-constexpr int kExitOk = 0;        // Success, no adverse findings.
-constexpr int kExitFindings = 1;  // Unsat classes, lint errors, failures.
-constexpr int kExitUsage = 2;     // Bad command line.
-constexpr int kExitResource = 3;  // A resource limit tripped.
+using crsat::command::kExitFindings;
+using crsat::command::kExitOk;
+using crsat::command::kExitResource;
+using crsat::command::kExitUsage;
 
 int Usage() {
   std::cerr
@@ -214,26 +217,6 @@ int RunCheckState(const crsat::NamedSchema& parsed,
   return EXIT_FAILURE;
 }
 
-crsat::Result<crsat::ClassId> ResolveClass(const crsat::Schema& schema,
-                                           const std::string& name) {
-  std::optional<crsat::ClassId> cls = schema.FindClass(name);
-  if (!cls.has_value()) {
-    return crsat::NotFoundError("no class named '" + name + "'");
-  }
-  return *cls;
-}
-
-std::string JsonEscape(const std::string& text) {
-  std::string escaped;
-  for (char c : text) {
-    if (c == '"' || c == '\\') {
-      escaped += '\\';
-    }
-    escaped += c;
-  }
-  return escaped;
-}
-
 // Shared flag state for the resource-bounded commands (check, lint).
 struct GuardFlags {
   crsat::ResourceLimits limits;
@@ -271,71 +254,8 @@ bool ParseGuardFlag(const std::string& arg, int argc, char** argv, int* i,
   return true;
 }
 
-// Reports a tripped guard (JSON on stdout or text on stderr) and returns
-// the resource exit code.
-int ReportTrip(const crsat::ResourceGuard& guard, bool json) {
-  if (json) {
-    std::cout << "{\n  \"error\": \""
-              << JsonEscape(guard.TripStatus().ToString())
-              << "\",\n  \"resource\": " << guard.report().ToJson()
-              << "\n}\n";
-  } else {
-    std::cerr << guard.TripStatus() << "\n"
-              << guard.report().ToString() << "\n";
-  }
-  return kExitResource;
-}
-
-// Per-invocation solver counters as a JSON object (stats are reset at
-// command start, so these cover exactly this invocation).
-std::string SimplexStatsJson() {
-  const crsat::SimplexStats& stats = crsat::GetSimplexStats();
-  auto load = [](const std::atomic<std::uint64_t>& counter) {
-    return std::to_string(counter.load(std::memory_order_relaxed));
-  };
-  return "{\"solves\": " + load(stats.solves) +
-         ", \"pivots\": " + load(stats.pivots) +
-         ", \"phase1_pivots\": " + load(stats.phase1_pivots) +
-         ", \"fast_solves\": " + load(stats.fast_solves) +
-         ", \"fast_pivots\": " + load(stats.fast_pivots) +
-         ", \"tier_fallbacks\": " + load(stats.tier_fallbacks) +
-         ", \"warm_start_hits\": " + load(stats.warm_start_hits) +
-         ", \"warm_start_misses\": " + load(stats.warm_start_misses) +
-         ", \"dual_pivots\": " + load(stats.dual_pivots) +
-         ", \"incremental_hits\": " + load(stats.incremental_hits) +
-         ", \"incremental_fallbacks\": " + load(stats.incremental_fallbacks) +
-         ", \"dominance_lookups\": " +
-         load(crsat::GetImplicationStats().dominance_lookups) +
-         ", \"dominance_hits\": " +
-         load(crsat::GetImplicationStats().dominance_hits) +
-         ", \"derived_disjoint_pairs\": " +
-         load(crsat::GetExpansionStats().derived_disjoint_pairs) +
-         ", \"pruned_subtrees\": " +
-         load(crsat::GetExpansionStats().pruned_subtrees) +
-         ", \"ln_short_circuits\": " +
-         load(crsat::GetFastPathStats().ln_short_circuits) + "}";
-}
-
-// Degradation-ladder transitions (src/base/degradation.h) as a JSON
-// object: how often the run fell back a rung and why.
-std::string RecoveryStatsJson() {
-  const crsat::RecoveryStats& stats = crsat::GetRecoveryStats();
-  auto load = [](const std::atomic<std::uint64_t>& counter) {
-    return std::to_string(counter.load(std::memory_order_relaxed));
-  };
-  return "{\"warm_start_fallbacks\": " + load(stats.warm_start_fallbacks) +
-         ", \"cover_fallbacks\": " + load(stats.cover_fallbacks) +
-         ", \"tier_fallbacks\": " + load(stats.tier_fallbacks) +
-         ", \"witness_flow_refinements\": " +
-         load(stats.witness_flow_refinements) +
-         ", \"witness_rescales\": " + load(stats.witness_rescales) +
-         ", \"bad_alloc_conversions\": " + load(stats.bad_alloc_conversions) +
-         ", \"guard_trips\": " + load(stats.guard_trips) + "}";
-}
-
-// Zeroes every per-invocation counter family reported by
-// `SimplexStatsJson`/`RecoveryStatsJson` so a `--json` report covers
-// exactly one run.
+// Zeroes every per-invocation counter family reported by `check --json`
+// so its report covers exactly one run.
 void ResetAllStats() {
   crsat::GetSimplexStats().Reset();
   crsat::GetImplicationStats().Reset();
@@ -345,216 +265,11 @@ void ResetAllStats() {
   crsat::ResetFailpointCounters();
 }
 
-int RunLint(const std::string& path, bool json, crsat::ResourceGuard* guard) {
-  crsat::Result<std::string> text = ReadFile(path);
-  if (!text.ok()) {
-    std::cerr << text.status() << "\n";
-    return EXIT_FAILURE;
-  }
-  // Parse leniently so empty ranges reach the `empty-range` rule with a
-  // source position instead of failing the build.
-  crsat::ParseSchemaOptions options;
-  options.permit_empty_ranges = true;
-  crsat::Result<crsat::NamedSchema> parsed = crsat::ParseSchema(*text, options);
-  if (!parsed.ok()) {
-    std::cerr << parsed.status() << "\n";
-    return EXIT_FAILURE;
-  }
-  crsat::LintOptions lint_options;
-  lint_options.guard = guard;
-  std::vector<crsat::Diagnostic> diagnostics =
-      crsat::RunLint(*parsed, lint_options);
-  if (guard != nullptr && guard->tripped()) {
-    // Truncated run: partial findings are not trustworthy verdicts.
-    return ReportTrip(*guard, json);
-  }
-  if (json) {
-    std::cout << crsat::DiagnosticsToJson(diagnostics) << "\n";
-  } else {
-    int errors = 0, warnings = 0, notes = 0;
-    for (const crsat::Diagnostic& diagnostic : diagnostics) {
-      std::cout << crsat::FormatDiagnostic(diagnostic, path) << "\n";
-      switch (diagnostic.severity) {
-        case crsat::Severity::kError:
-          ++errors;
-          break;
-        case crsat::Severity::kWarning:
-          ++warnings;
-          break;
-        case crsat::Severity::kNote:
-          ++notes;
-          break;
-      }
-    }
-    if (diagnostics.empty()) {
-      std::cout << "schema '" << parsed->name << "': no findings\n";
-    } else {
-      std::cout << errors << " error(s), " << warnings << " warning(s), "
-                << notes << " note(s)\n";
-    }
-  }
-  return crsat::HasErrors(diagnostics) ? kExitFindings : kExitOk;
-}
-
-// `witness_mode` is "" (off), "text", "json", or "dot". Synthesis only
-// runs when at least one class is satisfiable, and only a certified
-// witness is ever emitted; a resource limit tripped during synthesis
-// downgrades to the plain verdict (the check already completed) with the
-// trip reported in the witness slot.
-int RunCheck(const crsat::NamedSchema& parsed, bool json,
-             const std::string& witness_mode, crsat::ResourceGuard* guard) {
-  const crsat::Schema& schema = parsed.schema;
-  // ISA-free schemas skip the expansion pipeline entirely: the
-  // Lenzerini-Nobili baseline computes the same verdicts with one unknown
-  // per class. Witness synthesis needs the full checker, so the fast path
-  // only applies to plain checks.
-  std::optional<std::vector<bool>> satisfiable;
-  if (witness_mode.empty()) {
-    crsat::Result<std::optional<std::vector<bool>>> fast =
-        crsat::TryLnSatisfiableClasses(schema);
-    if (!fast.ok()) {
-      std::cerr << fast.status() << "\n";
-      return kExitFindings;
-    }
-    satisfiable = std::move(fast.value());
-  }
-  std::optional<crsat::Expansion> expansion;
-  std::optional<crsat::SatisfiabilityChecker> checker;
-  // Structural emptiness facts feed both the expansion's compound pruning
-  // and the checker's per-class short-circuit.
-  std::vector<bool> known_empty;
-  if (!satisfiable.has_value()) {
-    known_empty = crsat::ComputeProvablyEmpty(schema).class_empty;
-    crsat::ExpansionOptions options;
-    options.guard = guard;
-    options.known_empty_classes = &known_empty;
-    crsat::Result<crsat::Expansion> built =
-        crsat::Expansion::Build(schema, options);
-    if (!built.ok()) {
-      if (guard != nullptr && guard->tripped()) {
-        return ReportTrip(*guard, json);
-      }
-      std::cerr << built.status() << "\n";
-      return crsat::IsResourceLimitStatus(built.status().code())
-                 ? kExitResource
-                 : kExitFindings;
-    }
-    expansion.emplace(std::move(built.value()));
-    checker.emplace(*expansion);
-    checker->SetKnownEmptyClasses(known_empty);
-    crsat::Result<std::vector<bool>> verdicts = checker->SatisfiableClasses();
-    if (!verdicts.ok()) {
-      if (guard != nullptr && guard->tripped()) {
-        return ReportTrip(*guard, json);
-      }
-      std::cerr << verdicts.status() << "\n";
-      // A resource-family failure without a configured guard (converted
-      // bad_alloc, injected allocation fault) is still a resource limit,
-      // not a finding: honor the 0/1/2/3 exit contract.
-      return crsat::IsResourceLimitStatus(verdicts.status().code())
-                 ? kExitResource
-                 : kExitFindings;
-    }
-    satisfiable.emplace(std::move(verdicts.value()));
-  }
-  bool all_ok = true;
-  bool any_satisfiable = false;
-  for (crsat::ClassId cls : schema.AllClasses()) {
-    all_ok = all_ok && (*satisfiable)[cls.value];
-    any_satisfiable = any_satisfiable || (*satisfiable)[cls.value];
-  }
-
-  std::optional<crsat::CertifiedWitness> witness;
-  bool witness_downgraded = false;
-  std::string witness_failure;
-  if (!witness_mode.empty() && any_satisfiable) {
-    crsat::WitnessSynthesizer synthesizer(*checker);
-    crsat::WitnessOptions witness_options;
-    witness_options.guard = guard;
-    witness_options.source_map = &parsed.source_map;
-    crsat::Result<crsat::CertifiedWitness> result =
-        synthesizer.Synthesize(witness_options);
-    if (result.ok()) {
-      witness.emplace(std::move(result.value()));
-    } else if (crsat::IsResourceLimitStatus(result.status().code())) {
-      // The verdict predates the trip and stands; only the witness is
-      // dropped. Exit code stays verdict-driven.
-      witness_downgraded = true;
-      witness_failure = result.status().ToString();
-    } else {
-      // Anything else (certification refusal included) is a hard error:
-      // an uncertified witness is never emitted, silently or otherwise.
-      std::cerr << result.status() << "\n";
-      return kExitFindings;
-    }
-  }
-
-  if (json) {
-    std::cout << "{\n  \"schema\": \"" << JsonEscape(parsed.name)
-              << "\",\n  \"threads\": " << crsat::GlobalThreadCount()
-              << ",\n  \"classes\": [\n";
-    bool first = true;
-    for (crsat::ClassId cls : schema.AllClasses()) {
-      if (!first) {
-        std::cout << ",\n";
-      }
-      first = false;
-      std::cout << "    {\"name\": \"" << JsonEscape(schema.ClassName(cls))
-                << "\", \"satisfiable\": "
-                << ((*satisfiable)[cls.value] ? "true" : "false") << "}";
-    }
-    std::cout << "\n  ],\n  \"strongly_satisfiable\": "
-              << (all_ok ? "true" : "false")
-              << ",\n  \"stats\": " << SimplexStatsJson()
-              << ",\n  \"recovery\": " << RecoveryStatsJson();
-    if (!witness_mode.empty()) {
-      std::cout << ",\n  \"witness\": ";
-      if (witness.has_value()) {
-        std::cout << crsat::WitnessToJson(*witness);
-      } else if (witness_downgraded) {
-        std::cout << "{\"certified\": false, \"error\": \""
-                  << JsonEscape(witness_failure) << "\"}";
-      } else {
-        std::cout << "{\"certified\": false, \"error\": \"no class is "
-                     "satisfiable; nothing to witness\"}";
-      }
-    }
-    if (guard != nullptr) {
-      std::cout << ",\n  \"resource\": " << guard->report().ToJson();
-    }
-    std::cout << "\n}\n";
-    return all_ok ? kExitOk : kExitFindings;
-  }
-  for (crsat::ClassId cls : schema.AllClasses()) {
-    bool ok = (*satisfiable)[cls.value];
-    std::cout << (ok ? "  satisfiable    " : "  UNSATISFIABLE  ")
-              << schema.ClassName(cls) << "\n";
-  }
-  std::cout << (all_ok ? "schema is strongly satisfiable"
-                       : "schema has unpopulatable classes (see 'debug')")
-            << "\n";
-  if (witness.has_value()) {
-    if (witness_mode == "json") {
-      std::cout << crsat::WitnessToJson(*witness) << "\n";
-    } else if (witness_mode == "dot") {
-      std::cout << crsat::WitnessToDot(*witness);
-    } else {
-      std::cout << "witness (certified): " << witness->stats().individuals
-                << " individual(s), " << witness->stats().tuples
-                << " tuple(s)\n"
-                << witness->interpretation().ToString();
-    }
-  } else if (witness_downgraded) {
-    std::cerr << "witness synthesis stopped by a resource limit; the "
-                 "verdict above stands without a witness\n"
-              << witness_failure << "\n";
-    if (guard != nullptr) {
-      std::cerr << guard->report().ToString() << "\n";
-    }
-  } else if (!witness_mode.empty()) {
-    std::cout << "no witness: no class is satisfiable\n";
-  }
-  return all_ok ? kExitOk : kExitFindings;
+// Writes a served command's output where the one-shot CLI prints it.
+int Emit(const crsat::command::CommandResult& result) {
+  std::cout << result.out;
+  std::cerr << result.err;
+  return result.exit_code;
 }
 
 // `check --backend=saturation`: classical (unrestricted-model) verdicts
@@ -581,7 +296,7 @@ int RunSaturationCheck(const crsat::NamedSchema& parsed, bool json,
         any_unknown || result.verdict == crsat::SaturationVerdict::kUnknown;
   }
   if (json) {
-    std::cout << "{\n  \"schema\": \"" << JsonEscape(parsed.name)
+    std::cout << "{\n  \"schema\": \"" << crsat::JsonEscape(parsed.name)
               << "\",\n  \"backend\": \"saturation\",\n  \"classes\": [\n";
     bool first = true;
     for (const crsat::SaturationClassResult& result : report.classes) {
@@ -590,12 +305,12 @@ int RunSaturationCheck(const crsat::NamedSchema& parsed, bool json,
       }
       first = false;
       std::cout << "    {\"name\": \""
-                << JsonEscape(schema.ClassName(result.cls))
+                << crsat::JsonEscape(schema.ClassName(result.cls))
                 << "\", \"verdict\": \""
                 << crsat::SaturationVerdictToString(result.verdict) << "\"";
       if (!result.unknown_reason.empty()) {
         std::cout << ", \"unknown_reason\": \""
-                  << JsonEscape(result.unknown_reason) << "\"";
+                  << crsat::JsonEscape(result.unknown_reason) << "\"";
       }
       std::cout << "}";
     }
@@ -621,7 +336,8 @@ int RunSaturationCheck(const crsat::NamedSchema& parsed, bool json,
 }
 
 int RunModel(const crsat::Schema& schema, const std::string& class_name) {
-  crsat::Result<crsat::ClassId> cls = ResolveClass(schema, class_name);
+  crsat::Result<crsat::ClassId> cls =
+      crsat::command::ResolveClass(schema, class_name);
   if (!cls.ok()) {
     std::cerr << cls.status() << "\n";
     return EXIT_FAILURE;
@@ -643,7 +359,8 @@ int RunModel(const crsat::Schema& schema, const std::string& class_name) {
 }
 
 int RunDebug(const crsat::Schema& schema, const std::string& class_name) {
-  crsat::Result<crsat::ClassId> cls = ResolveClass(schema, class_name);
+  crsat::Result<crsat::ClassId> cls =
+      crsat::command::ResolveClass(schema, class_name);
   if (!cls.ok()) {
     std::cerr << cls.status() << "\n";
     return EXIT_FAILURE;
@@ -668,51 +385,6 @@ int RunDebug(const crsat::Schema& schema, const std::string& class_name) {
     }
   }
   return EXIT_SUCCESS;
-}
-
-int RunImplies(const crsat::Schema& schema, int argc, char** argv) {
-  const std::string mode = argv[3];
-  if (mode == "isa" && argc == 6) {
-    crsat::Result<crsat::ClassId> sub = ResolveClass(schema, argv[4]);
-    crsat::Result<crsat::ClassId> super = ResolveClass(schema, argv[5]);
-    if (!sub.ok() || !super.ok()) {
-      std::cerr << (sub.ok() ? super.status() : sub.status()) << "\n";
-      return EXIT_FAILURE;
-    }
-    crsat::Result<bool> implied =
-        crsat::ImplicationChecker::ImpliesIsa(schema, *sub, *super);
-    if (!implied.ok()) {
-      std::cerr << implied.status() << "\n";
-      return EXIT_FAILURE;
-    }
-    std::cout << argv[4] << " <= " << argv[5] << ": "
-              << (*implied ? "implied" : "not implied") << "\n";
-    return EXIT_SUCCESS;
-  }
-  if (mode == "card" && argc == 7) {
-    crsat::Result<crsat::ClassId> cls = ResolveClass(schema, argv[4]);
-    std::optional<crsat::RelationshipId> rel = schema.FindRelationship(argv[5]);
-    std::optional<crsat::RoleId> role = schema.FindRole(argv[6]);
-    if (!cls.ok() || !rel.has_value() || !role.has_value()) {
-      std::cerr << "unknown class, relationship or role\n";
-      return EXIT_FAILURE;
-    }
-    crsat::Result<std::uint64_t> min =
-        crsat::ImplicationChecker::TightestImpliedMin(schema, *cls, *rel,
-                                                      *role);
-    crsat::Result<std::optional<std::uint64_t>> max =
-        crsat::ImplicationChecker::TightestImpliedMax(schema, *cls, *rel,
-                                                      *role);
-    if (!min.ok() || !max.ok()) {
-      std::cerr << (min.ok() ? max.status() : min.status()) << "\n";
-      return EXIT_FAILURE;
-    }
-    std::cout << "tightest implied cardinality of (" << argv[4] << ", "
-              << argv[5] << ", " << argv[6] << "): (" << *min << ", "
-              << (max->has_value() ? std::to_string(**max) : "*") << ")\n";
-    return EXIT_SUCCESS;
-  }
-  return Usage();
 }
 
 // Differential conformance sweep (src/oracle/): generated schemas, the
@@ -957,13 +629,14 @@ int RunServe(int argc, char** argv) {
 }
 
 // Maps a response status byte back onto the CLI exit contract: 0..3 pass
-// through; service-level refusals are resource-family (3) except a
-// framing error, which is a hard failure (1).
+// through and a failed command is 1; service-level refusals are
+// resource-family (3) except a framing error, which is a hard failure (1).
 int ExitCodeForReply(crsat::server::ResponseStatus status) {
   switch (status) {
     case crsat::server::ResponseStatus::kOk:
       return kExitOk;
     case crsat::server::ResponseStatus::kFindings:
+    case crsat::server::ResponseStatus::kFailed:
       return kExitFindings;
     case crsat::server::ResponseStatus::kBadRequest:
       return kExitUsage;
@@ -978,12 +651,15 @@ int ExitCodeForReply(crsat::server::ResponseStatus status) {
 }
 
 // Prints a reply the way the one-shot commands do: payload on stdout for
-// ok/findings (where it is the byte-identical verdict text), stderr for
-// every refusal.
+// ok/findings (where it is the byte-identical verdict text), the bare
+// payload on stderr for a failed command (the one-shot stderr text), and
+// the status name plus payload on stderr for every refusal.
 int PrintReply(const crsat::server::Reply& reply) {
   if (reply.status == crsat::server::ResponseStatus::kOk ||
       reply.status == crsat::server::ResponseStatus::kFindings) {
     std::cout << reply.payload;
+  } else if (reply.status == crsat::server::ResponseStatus::kFailed) {
+    std::cerr << reply.payload;
   } else {
     std::cerr << "crsatd: " << crsat::server::ResponseStatusToString(
                                    reply.status)
@@ -1095,17 +771,7 @@ int RunClient(int argc, char** argv) {
     if (i != argc) {
       return Usage();
     }
-    crsat::Result<crsat::server::Reply> reply =
-        call(crsat::server::RequestType::kLint, payload);
-    // An empty findings payload means even the lenient re-parse failed;
-    // like the one-shot CLI, the parse error goes to stderr, not stdout
-    // (the parse reply recorded the strict-parse diagnostics).
-    if (reply.ok() &&
-        reply->status == crsat::server::ResponseStatus::kFindings &&
-        reply->payload.empty()) {
-      std::cerr << parsed->payload;
-    }
-    return finish(std::move(reply));
+    return finish(call(crsat::server::RequestType::kLint, payload));
   }
   if (command == "witness") {
     std::string mode;
@@ -1163,11 +829,16 @@ int RealMain(int argc, char** argv) {
         return Usage();
       }
     }
+    crsat::Result<std::string> text = ReadFile(argv[2]);
+    if (!text.ok()) {
+      std::cerr << text.status() << "\n";
+      return kExitFindings;
+    }
     if (guard_flags.any) {
       crsat::ResourceGuard guard(guard_flags.limits);
-      return RunLint(argv[2], json, &guard);
+      return Emit(crsat::command::Lint(*text, argv[2], json, &guard));
     }
-    return RunLint(argv[2], json, nullptr);
+    return Emit(crsat::command::Lint(*text, argv[2], json, nullptr));
   }
   crsat::Result<crsat::NamedSchema> parsed = LoadSchema(argv[2]);
   if (!parsed.ok()) {
@@ -1229,9 +900,9 @@ int RealMain(int argc, char** argv) {
     }
     if (guard_flags.any) {
       crsat::ResourceGuard guard(guard_flags.limits);
-      return RunCheck(*parsed, json, witness_mode, &guard);
+      return Emit(crsat::command::Check(*parsed, json, witness_mode, &guard));
     }
-    return RunCheck(*parsed, json, witness_mode, nullptr);
+    return Emit(crsat::command::Check(*parsed, json, witness_mode, nullptr));
   }
   if (command == "expand") {
     crsat::Result<crsat::Expansion> expansion =
@@ -1261,7 +932,8 @@ int RealMain(int argc, char** argv) {
     return RunDebug(schema, argv[3]);
   }
   if (command == "implies" && argc >= 4) {
-    return RunImplies(schema, argc, argv);
+    return Emit(crsat::command::Implies(
+        schema, std::vector<std::string>(argv + 3, argv + argc), nullptr));
   }
   if (command == "checkstate" && argc == 4) {
     return RunCheckState(*parsed, argv[3]);

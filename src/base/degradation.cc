@@ -1,12 +1,14 @@
 #include "src/base/degradation.h"
 
+#include "src/base/failpoint.h"
+
 namespace crsat {
 
 namespace {
 
 // The policy decomposed into lock-free cells so hot paths (SolveWith,
-// AssignTuples) can read it without a mutex. Mirrors the
-// incremental-override idiom in src/base/incremental.cc.
+// AssignTuples, IncrementalReasoningEnabled) can read one field without
+// a mutex.
 std::atomic<int> g_allow_incremental{1};
 std::atomic<int> g_allow_fast_tier{1};
 std::atomic<int> g_max_witness_rescales{8};
@@ -40,6 +42,14 @@ ScopedDegradationPolicy::ScopedDegradationPolicy(
 }
 
 ScopedDegradationPolicy::~ScopedDegradationPolicy() { StorePolicy(previous_); }
+
+bool IncrementalReasoningEnabled() {
+  // Injected incremental -> cold degradation (rung 0 -> 1): every layer
+  // that consults this gate falls back to its cold reference path for
+  // the queries on which the schedule fires.
+  return !CRSAT_FAILPOINT("incremental/force_cold") &&
+         g_allow_incremental.load(std::memory_order_acquire) != 0;
+}
 
 RecoveryStats& GetRecoveryStats() {
   static RecoveryStats* stats = new RecoveryStats;

@@ -28,8 +28,9 @@ namespace crsat {
 /// The defaults match the historical hard-coded values; tests and the
 /// future crsatd admission controller tighten them per request.
 struct DegradationPolicy {
-  /// Rung 0 permitted (warm starts, memoization, pruning). When false,
-  /// every layer behaves as if `IncrementalReasoningEnabled()` were off.
+  /// Rung 0 permitted (warm starts, memoization, pruning, the LN
+  /// short-circuit). The only switch for the incremental fast paths:
+  /// every layer asks `IncrementalReasoningEnabled()`, which reads it.
   bool allow_incremental = true;
   /// Rung 1 -> 2: permit the overflow-checked int64 SmallRational tier.
   /// When false, every solve starts on exact Rational arithmetic.
@@ -59,6 +60,20 @@ class ScopedDegradationPolicy {
  private:
   DegradationPolicy previous_;
 };
+
+/// True when the incremental reasoning fast paths may run: dual-simplex
+/// warm-start repair (src/lp/simplex.cc), the one-LP support cover
+/// (src/lp/homogeneous.cc), bound-dominance memoization
+/// (src/reasoner/implication_engine.h), declared-bound expansion pruning
+/// (src/expansion/expansion.cc) and the Lenzerini–Nobili ISA-free
+/// short-circuit (src/baseline/fast_path.h).
+///
+/// False when the policy's `allow_incremental` is off or the
+/// `incremental/force_cold` failpoint fires (checked first, so the chaos
+/// harness can force cold under any policy). Verdicts are identical
+/// either way — the fast paths are exact — so the cold path exists as the
+/// reference the incremental-vs-cold differential tests compare against.
+bool IncrementalReasoningEnabled();
 
 /// Process-wide counters recording every rung transition actually taken.
 /// Exposed in `crsat_cli --json` (object "recovery") and alongside

@@ -20,6 +20,11 @@ std::string_view StripWhitespace(std::string_view text);
 /// True iff `text` begins with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
 
+/// Escapes `text` for the inside of a JSON string literal: `"` and `\`,
+/// the short forms `\n`, `\r`, `\t`, and `\u00XX` for every other
+/// control character (JSON forbids them raw).
+std::string JsonEscape(std::string_view text);
+
 }  // namespace crsat
 
 #endif  // CRSAT_BASE_STRING_UTIL_H_

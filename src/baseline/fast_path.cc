@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "src/base/incremental.h"
+#include "src/base/degradation.h"
 #include "src/baseline/ln_reasoner.h"
 
 namespace crsat {

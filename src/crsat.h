@@ -40,7 +40,6 @@
 #include "src/base/result.h"
 #include "src/base/status.h"
 #include "src/base/thread_pool.h"
-#include "src/base/incremental.h"
 #include "src/baseline/fast_path.h"
 #include "src/baseline/ln_reasoner.h"
 #include "src/cr/interpretation.h"

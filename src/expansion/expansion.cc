@@ -6,7 +6,6 @@
 
 #include "src/base/degradation.h"
 #include "src/base/failpoint.h"
-#include "src/base/incremental.h"
 
 namespace crsat {
 

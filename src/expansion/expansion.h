@@ -69,7 +69,7 @@ struct ExpansionOptions {
   /// prove zero. Pairwise checking is complete: an empty lifted range
   /// always has a max-of-mins contributor `a` and a min-of-maxes
   /// contributor `b` forming such a pair. Effective only while
-  /// `IncrementalReasoningEnabled()` (src/base/incremental.h), so the
+  /// `IncrementalReasoningEnabled()` (src/base/degradation.h), so the
   /// forced-cold reference path builds the historical expansion.
   ///
   /// Soundness caveat: the derivation reads the *declared* schema bounds,

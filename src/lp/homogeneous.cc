@@ -9,7 +9,6 @@
 
 #include "src/base/degradation.h"
 #include "src/base/failpoint.h"
-#include "src/base/incremental.h"
 #include "src/base/resource_guard.h"
 #include "src/base/thread_pool.h"
 #include "src/lp/small_rational.h"
@@ -240,9 +239,7 @@ Result<SupportResult> ComputeMaximalSupport(
   // compute the same unique maximal support, just slower. Resource
   // statuses still propagate (the trip is sticky; retrying would trip
   // again immediately).
-  if (IncrementalReasoningEnabled() &&
-      GetDegradationPolicy().allow_incremental &&
-      pinned.num_variables() > 0) {
+  if (IncrementalReasoningEnabled() && pinned.num_variables() > 0) {
     const int nu = pinned.num_variables();
     LinearSystem covered = pinned;
     LinearExpr total_deficit;

@@ -6,7 +6,6 @@
 
 #include "src/base/degradation.h"
 #include "src/base/failpoint.h"
-#include "src/base/incremental.h"
 #include "src/base/resource_guard.h"
 #include "src/lp/small_rational.h"
 
@@ -925,13 +924,12 @@ Result<LpResult> SolveWithImpl(const LinearSystem& system,
   SimplexStats& stats = GetSimplexStats();
   BumpStat(stats.solves);
 
-  // The forced-cold reference path (CRSAT_NO_INCREMENTAL /
-  // ScopedIncrementalOverride) ignores carried bases entirely so every
-  // solve runs the exact code path the differential tests compare against.
+  // The forced-cold reference path (`allow_incremental = false`) ignores
+  // carried bases entirely so every solve runs the exact code path the
+  // differential tests compare against.
   SimplexOptions effective = options;
   const DegradationPolicy policy = GetDegradationPolicy();
-  if (effective.warm_start != nullptr &&
-      (!IncrementalReasoningEnabled() || !policy.allow_incremental)) {
+  if (effective.warm_start != nullptr && !IncrementalReasoningEnabled()) {
     effective.warm_start = nullptr;
   }
 

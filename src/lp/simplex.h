@@ -149,7 +149,7 @@ struct SimplexOptions {
   /// of being rejected; only a layout mismatch, a singular basis, or a
   /// repair that exceeds its pivot cap falls back to a cold start. Ignored
   /// entirely when `IncrementalReasoningEnabled()` is false
-  /// (src/base/incremental.h) — the forced-cold reference path.
+  /// (src/base/degradation.h) — the forced-cold reference path.
   const WarmStartBasis* warm_start = nullptr;
   /// When non-null, receives the final basis of an optimal solve.
   WarmStartBasis* export_basis = nullptr;

@@ -12,6 +12,7 @@
 #include "src/base/deterministic.h"
 #include "src/base/failpoint.h"
 #include "src/base/resource_guard.h"
+#include "src/base/string_util.h"
 #include "src/baseline/fast_path.h"
 #include "src/baseline/ln_reasoner.h"
 #include "src/lp/simplex.h"
@@ -31,29 +32,6 @@
 namespace crsat {
 
 namespace {
-
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
 
 bool IsResourceLimit(StatusCode code) {
   return code == StatusCode::kResourceExhausted ||

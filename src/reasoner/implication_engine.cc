@@ -6,7 +6,7 @@
 #include <string>
 #include <utility>
 
-#include "src/base/incremental.h"
+#include "src/base/degradation.h"
 #include "src/base/resource_guard.h"
 #include "src/base/thread_pool.h"
 #include "src/reasoner/satisfiability.h"

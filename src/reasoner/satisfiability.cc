@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "src/base/incremental.h"
+#include "src/base/degradation.h"
 #include "src/lp/simplex.h"
 
 namespace crsat {

@@ -63,6 +63,8 @@ const char* ResponseStatusToString(ResponseStatus status) {
       return "overloaded";
     case ResponseStatus::kShuttingDown:
       return "shutting-down";
+    case ResponseStatus::kFailed:
+      return "failed";
   }
   return "unknown";
 }

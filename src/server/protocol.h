@@ -85,8 +85,10 @@ enum class RequestType : std::uint8_t {
 bool IsKnownRequestType(std::uint8_t type);
 
 /// Response status byte. Values 0..3 mirror the CLI exit-code contract
-/// (0 ok, 1 findings, 2 bad request, 3 resource limit / honest UNKNOWN);
-/// the rest are service-level outcomes with no one-shot equivalent.
+/// (0 ok, 1 findings, 2 bad request, 3 resource limit / honest UNKNOWN),
+/// and kFailed is the CLI's other exit 1 (an error on stderr, nothing on
+/// stdout); the rest are service-level outcomes with no one-shot
+/// equivalent.
 enum class ResponseStatus : std::uint8_t {
   kOk = 0,
   kFindings = 1,
@@ -101,6 +103,9 @@ enum class ResponseStatus : std::uint8_t {
   kOverloaded = 5,
   /// The server is draining and accepts no new work.
   kShuttingDown = 6,
+  /// The command failed before printing a verdict (the CLI's exit 1 with
+  /// only stderr): the payload is that stderr text.
+  kFailed = 7,
 };
 
 /// Stable name for a status ("ok", "findings", "overloaded", ...).

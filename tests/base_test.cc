@@ -116,6 +116,28 @@ TEST(StringUtilTest, StartsWith) {
   EXPECT_FALSE(StartsWith("hello", "el"));
 }
 
+TEST(StringUtilTest, JsonEscape) {
+  struct Case {
+    std::string input;
+    std::string escaped;
+  };
+  const Case cases[] = {
+      {"", ""},
+      {"plain", "plain"},
+      {"say \"hi\"", "say \\\"hi\\\""},
+      {"a\\b", "a\\\\b"},
+      {"line\nbreak", "line\\nbreak"},
+      {"cr\rlf", "cr\\rlf"},
+      {"tab\there", "tab\\there"},
+      {std::string("nul\0x", 5), "nul\\u0000x"},
+      {"\x01\x1f", "\\u0001\\u001f"},
+      {"caf\xc3\xa9 ~", "caf\xc3\xa9 ~"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(JsonEscape(c.input), c.escaped) << c.input;
+  }
+}
+
 TEST(IdsTest, DefaultIsInvalid) {
   ClassId id;
   EXPECT_FALSE(id.valid());

@@ -250,7 +250,7 @@ void DriveGuardTrip() {
 }
 
 void DriveIncrementalForceCold() {
-  ScopedIncrementalOverride on(true);
+  ScopedDegradationPolicy on(DegradationPolicy{});
   EXPECT_FALSE(IncrementalReasoningEnabled());
 }
 
@@ -266,7 +266,7 @@ void DriveFastTierOverflow() {
 }
 
 void DriveWarmStartReject() {
-  ScopedIncrementalOverride on(true);
+  ScopedDegradationPolicy on(DegradationPolicy{});
   WarmStartBasis basis = SolveWideExportingBasis();
   GetSimplexStats().Reset();
   SimplexOptions warm;
@@ -281,7 +281,7 @@ void DriveWarmStartReject() {
 }
 
 void DriveDualRepairAbort() {
-  ScopedIncrementalOverride on(true);
+  ScopedDegradationPolicy on(DegradationPolicy{});
   WarmStartBasis basis = SolveWideExportingBasis();
   GetSimplexStats().Reset();
   SimplexOptions warm;
@@ -297,7 +297,7 @@ void DriveDualRepairAbort() {
 }
 
 void DriveSupportCoverFail() {
-  ScopedIncrementalOverride on(true);
+  ScopedDegradationPolicy on(DegradationPolicy{});
   Schema schema = testing::MeetingSchema();
   Expansion expansion = Expansion::Build(schema).value();
   SatisfiabilityChecker checker(expansion);
@@ -478,7 +478,7 @@ TEST(FailpointCoverageTest, SeamTableCoversTheRegistryExactly) {
 // the faulted sweep reaches the same verdicts as the clean one with the
 // same total number of warm-start attempts.
 TEST(MidRepairDegradationTest, RepairAbortFallsBackColdAcrossThreadCounts) {
-  ScopedIncrementalOverride on(true);
+  ScopedDegradationPolicy on(DegradationPolicy{});
   Schema schema = testing::MeetingSchema();
   for (int threads : {1, 2, 8}) {
     SCOPED_TRACE(threads);
@@ -540,7 +540,7 @@ TEST(MidRepairDegradationTest, RepairAbortFallsBackColdAcrossThreadCounts) {
 // sticky, so the solve unwinds with the honest resource status instead
 // of burning the rest of the budget on a cold phase 1.
 TEST(MidRepairDegradationTest, GuardTripDuringRepairSurfacesAsResource) {
-  ScopedIncrementalOverride on(true);
+  ScopedDegradationPolicy on(DegradationPolicy{});
   WarmStartBasis basis = SolveWideExportingBasis();
   ResourceGuard guard;
   ScopedFailpoint armed("guard/trip", /*nth=*/1);

@@ -19,9 +19,18 @@
 #include <gtest/gtest.h>
 
 #include "src/crsat.h"
+#include "tests/test_schemas.h"
 
 namespace crsat {
 namespace {
+
+// The policy with only the incremental rung set: `false` is the
+// forced-cold reference path, `true` the default fast paths.
+DegradationPolicy Incremental(bool enabled) {
+  DegradationPolicy policy;
+  policy.allow_incremental = enabled;
+  return policy;
+}
 
 RandomSchemaParams SweepParams(std::uint32_t seed) {
   RandomSchemaParams params;
@@ -99,11 +108,11 @@ TEST_P(IncrementalDifferentialTest, ReportsMatchColdPathAtAnyThreadCount) {
 
   std::string cold;
   {
-    ScopedIncrementalOverride off(false);
+    ScopedDegradationPolicy off(Incremental(false));
     cold = AnalysisDigest(schema, full);
   }
   {
-    ScopedIncrementalOverride on(true);
+    ScopedDegradationPolicy on(Incremental(true));
     std::string incremental = AnalysisDigest(schema, full);
     EXPECT_EQ(incremental, cold)
         << "seed " << seed << ": incremental fast paths changed a verdict";
@@ -114,7 +123,7 @@ TEST_P(IncrementalDifferentialTest, ReportsMatchColdPathAtAnyThreadCount) {
   if (seed % 10 == 1) {
     for (int threads : {2, 8}) {
       SetGlobalThreadCount(threads);
-      ScopedIncrementalOverride on(true);
+      ScopedDegradationPolicy on(Incremental(true));
       EXPECT_EQ(AnalysisDigest(schema, full), cold)
           << "seed " << seed << " diverges at " << threads << " threads";
     }
@@ -190,7 +199,7 @@ LinearSystem TwoVarSystem() {
 }
 
 TEST(WarmStartAccountingTest, HitsPlusMissesEqualsAttempts) {
-  ScopedIncrementalOverride on(true);
+  ScopedDegradationPolicy on(Incremental(true));
   GetSimplexStats().Reset();
   LinearSystem system = TwoVarSystem();
   LinearExpr objective = LinearExpr::Var(0);
@@ -218,7 +227,7 @@ TEST(WarmStartAccountingTest, HitsPlusMissesEqualsAttempts) {
 }
 
 TEST(WarmStartAccountingTest, GateOffMeansNoAttemptsAndNoDualPivots) {
-  ScopedIncrementalOverride off(false);
+  ScopedDegradationPolicy off(Incremental(false));
   GetSimplexStats().Reset();
   LinearSystem system = TwoVarSystem();
   LinearExpr objective = LinearExpr::Var(0);
@@ -243,6 +252,68 @@ TEST(WarmStartAccountingTest, GateOffMeansNoAttemptsAndNoDualPivots) {
   EXPECT_EQ(stats.incremental_hits.load(), 0u);
 }
 
+// --- One switch: the policy gates every fast path -------------------------
+
+// An ISA edge C0 <= C1 under cardinality pressure (the shape of
+// bench_parallel's ChainSchema), plus a sibling S <= C1 whose (0, 1)
+// bound on R.U can never meet C0's minimum of 2, so the expansion derives
+// C0 and S disjoint and prunes their common compounds.
+Schema ChainWithConflictingSibling() {
+  SchemaBuilder builder;
+  builder.AddClass("C0");
+  builder.AddClass("C1");
+  builder.AddIsa("C0", "C1");
+  builder.AddClass("S");
+  builder.AddIsa("S", "C1");
+  builder.AddClass("T");
+  builder.AddRelationship("R", {{"U", "C1"}, {"V", "T"}});
+  builder.SetCardinality("C1", "R", "U", {1, 4});
+  builder.SetCardinality("C0", "R", "U", {2, 3});
+  builder.SetCardinality("S", "R", "U", {0, 1});
+  builder.SetCardinality("T", "R", "V", {1, 1});
+  return builder.Build().value();
+}
+
+struct FastPathCounters {
+  std::uint64_t ln_short_circuits = 0;
+  std::uint64_t dominance_hits = 0;
+  std::uint64_t pruned_subtrees = 0;
+  std::uint64_t warm_start_hits = 0;
+};
+
+// The CLI's `check` on an ISA-free schema and `report` on the chain.
+FastPathCounters RunFastPathWork() {
+  GetFastPathStats().Reset();
+  GetImplicationStats().Reset();
+  GetExpansionStats().Reset();
+  GetSimplexStats().Reset();
+  EXPECT_TRUE(TryLnSatisfiableClasses(testing::EmploymentSchema()).ok());
+  EXPECT_TRUE(BuildImpliedCardinalityReport(ChainWithConflictingSibling(),
+                                            /*search_limit=*/4)
+                  .ok());
+  FastPathCounters counters;
+  counters.ln_short_circuits = GetFastPathStats().ln_short_circuits.load();
+  counters.dominance_hits = GetImplicationStats().dominance_hits.load();
+  counters.pruned_subtrees = GetExpansionStats().pruned_subtrees.load();
+  counters.warm_start_hits = GetSimplexStats().warm_start_hits.load();
+  return counters;
+}
+
+TEST(IncrementalSwitchTest, PolicyTurnsOffEveryFastPath) {
+  const FastPathCounters incremental = RunFastPathWork();
+  EXPECT_GT(incremental.ln_short_circuits, 0u);
+  EXPECT_GT(incremental.dominance_hits, 0u);
+  EXPECT_GT(incremental.pruned_subtrees, 0u);
+  EXPECT_GT(incremental.warm_start_hits, 0u);
+
+  ScopedDegradationPolicy off(Incremental(false));
+  const FastPathCounters cold = RunFastPathWork();
+  EXPECT_EQ(cold.ln_short_circuits, 0u);
+  EXPECT_EQ(cold.dominance_hits, 0u);
+  EXPECT_EQ(cold.pruned_subtrees, 0u);
+  EXPECT_EQ(cold.warm_start_hits, 0u);
+}
+
 // --- Maximal support: one-LP cover vs probe rounds -------------------------
 
 TEST(SupportCoverTest, CoverLpMatchesProbeRoundsOnGeneratedSchemas) {
@@ -252,11 +323,11 @@ TEST(SupportCoverTest, CoverLpMatchesProbeRoundsOnGeneratedSchemas) {
 
     std::vector<bool> cold_positive;
     {
-      ScopedIncrementalOverride off(false);
+      ScopedDegradationPolicy off(Incremental(false));
       SatisfiabilityChecker checker(expansion);
       cold_positive = checker.Support().value().positive;
     }
-    ScopedIncrementalOverride on(true);
+    ScopedDegradationPolicy on(Incremental(true));
     SatisfiabilityChecker checker(expansion);
     AcceptableSupport support = checker.Support().value();
     EXPECT_EQ(support.positive, cold_positive) << "seed " << seed;

@@ -16,6 +16,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -47,16 +48,24 @@ std::string ReadFileOrDie(const std::string& path) {
   return text;
 }
 
-// Runs the one-shot CLI, returning its stdout and exit code (stderr is
-// dropped: the parity contract covers stdout bytes and the exit family).
+// A path under the test temp dir, unique to this process.
+std::string TempPath(const std::string& name) {
+  return ::testing::TempDir() + "server_test_" + std::to_string(getpid()) +
+         "_" + name;
+}
+
+// Runs `crsat_cli <args>` (the one-shot CLI, or its `client` front end),
+// returning its exit code, stdout and stderr.
 struct CliRun {
   int exit_code = -1;
   std::string out;
+  std::string err;
 };
 
 CliRun RunCli(const std::string& args) {
+  const std::string err_path = TempPath("cli.err");
   const std::string command =
-      std::string(SERVER_TEST_CLI) + " " + args + " 2>/dev/null";
+      std::string(SERVER_TEST_CLI) + " " + args + " 2>" + err_path;
   CliRun run;
   std::FILE* pipe = popen(command.c_str(), "r");
   EXPECT_NE(pipe, nullptr) << command;
@@ -67,6 +76,8 @@ CliRun RunCli(const std::string& args) {
   }
   const int raw = pclose(pipe);
   run.exit_code = WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+  run.err = ReadFileOrDie(err_path);
+  std::remove(err_path.c_str());
   return run;
 }
 
@@ -454,10 +465,16 @@ TEST(ServerTest, ConcurrentClientsMatchTheOneShotCli) {
   // every request type, at every concurrency level.
   const std::vector<std::string> schemas = {"university.cr", "figure1.cr",
                                             "meeting.cr"};
+  const std::map<std::string, std::vector<std::string>> queries = {
+      {"university.cr",
+       {"isa PhDStudent Person", "card PhDStudent Teaches teacher"}},
+      {"meeting.cr", {"isa Speaker Discussant", "card Discussant Holds U1"}},
+  };
   struct Expected {
     CliRun check;
     CliRun lint;
     CliRun witness;
+    std::vector<std::pair<std::string, CliRun>> implies;
   };
   std::map<std::string, Expected> expected;
   for (const std::string& name : schemas) {
@@ -465,6 +482,12 @@ TEST(ServerTest, ConcurrentClientsMatchTheOneShotCli) {
     e.check = RunCli("check " + Schema(name));
     e.lint = RunCli("lint " + Schema(name));
     e.witness = RunCli("check " + Schema(name) + " --witness=text");
+    if (queries.count(name) != 0) {
+      for (const std::string& query : queries.at(name)) {
+        e.implies.emplace_back(query,
+                               RunCli("implies " + Schema(name) + " " + query));
+      }
+    }
   }
 
   Server daemon(TestOptions());
@@ -504,6 +527,13 @@ TEST(ServerTest, ConcurrentClientsMatchTheOneShotCli) {
               static_cast<int>(witness->status) != e.witness.exit_code) {
             ++mismatches;
           }
+          for (const auto& [query, cli] : e.implies) {
+            auto implies = client.Call(RequestType::kImplications, query);
+            if (!implies.ok() || implies->payload != cli.out ||
+                static_cast<int>(implies->status) != cli.exit_code) {
+              ++mismatches;
+            }
+          }
         }
       });
     }
@@ -537,6 +567,95 @@ TEST(ServerTest, LintParityIncludesSchemasTheStrictParserRejects) {
   ASSERT_TRUE(lint.ok());
   EXPECT_EQ(lint->status, ResponseStatus::kFindings);
   EXPECT_EQ(lint->payload, cli.out);
+
+  daemon.BeginDrain();
+  daemon.Wait();
+}
+
+TEST(ServerTest, FailedCheckIsStderrOnlyThroughBothFrontEnds) {
+  // 66 classes are past the expansion's 64-class limit. The one-shot CLI
+  // prints the error on stderr and nothing on stdout; the daemon answers
+  // kFailed with the same text, which its client prints on stderr.
+  std::string text = "schema Big {\n  class C0";
+  for (int i = 1; i < 66; ++i) {
+    text += ", C" + std::to_string(i);
+  }
+  text += ";\n  isa C1 < C0;\n}\n";
+  const std::string path = TempPath("big66.cr");
+  {
+    std::FILE* file = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(file, nullptr) << path;
+    std::fwrite(text.data(), 1, text.size(), file);
+    std::fclose(file);
+  }
+  const CliRun cli = RunCli("check " + path);
+  EXPECT_EQ(cli.exit_code, 1);
+  EXPECT_EQ(cli.out, "");
+  EXPECT_EQ(cli.err,
+            "InvalidArgument: expansion supports at most 64 classes, got 66\n");
+
+  Server daemon(TestOptions());
+  ASSERT_TRUE(daemon.Start().ok());
+  Client client;
+  ASSERT_TRUE(client.ConnectTcp(daemon.port()).ok());
+  auto parsed = client.Parse(path, text);
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(parsed->status, ResponseStatus::kOk);
+  auto check = client.Call(RequestType::kCheck, "");
+  ASSERT_TRUE(check.ok());
+  EXPECT_EQ(check->status, ResponseStatus::kFailed);
+  EXPECT_EQ(check->payload, cli.err);
+
+  const CliRun remote = RunCli(
+      "client --port " + std::to_string(daemon.port()) + " check " + path);
+  EXPECT_EQ(remote.exit_code, 1);
+  EXPECT_EQ(remote.out, "");
+  EXPECT_EQ(remote.err, cli.err);
+
+  daemon.BeginDrain();
+  daemon.Wait();
+  std::remove(path.c_str());
+}
+
+TEST(ServerTest, ImpliesWithUnknownNamesFailsLikeTheOneShotCli) {
+  // An unknown class, relationship or role is the CLI's exit 1 with an
+  // error on stderr, through both front ends alike.
+  const std::string path = Schema("university.cr");
+  Server daemon(TestOptions());
+  ASSERT_TRUE(daemon.Start().ok());
+  struct Case {
+    std::string query;
+    std::string err;
+  };
+  const std::string no_class = "NotFound: no class named 'Nope'\n";
+  const std::string no_triple = "unknown class, relationship or role\n";
+  const Case cases[] = {{"isa Nope Person", no_class},
+                        {"isa Person Nope", no_class},
+                        {"card Nope Teaches teacher", no_triple},
+                        {"card Professor Nope teacher", no_triple},
+                        {"card Professor Teaches nope", no_triple}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.query);
+    const CliRun cli = RunCli("implies " + path + " " + c.query);
+    EXPECT_EQ(cli.exit_code, 1);
+    EXPECT_EQ(cli.out, "");
+    EXPECT_EQ(cli.err, c.err);
+    const CliRun remote =
+        RunCli("client --port " + std::to_string(daemon.port()) +
+               " implies " + path + " " + c.query);
+    EXPECT_EQ(remote.exit_code, 1);
+    EXPECT_EQ(remote.out, "");
+    EXPECT_EQ(remote.err, c.err);
+  }
+
+  Client client;
+  ASSERT_TRUE(client.ConnectTcp(daemon.port()).ok());
+  auto parsed = client.Parse(path, ReadFileOrDie(path));
+  ASSERT_TRUE(parsed.ok());
+  auto reply = client.Call(RequestType::kImplications, "isa Nope Person");
+  ASSERT_TRUE(reply.ok());
+  EXPECT_EQ(reply->status, ResponseStatus::kFailed);
+  EXPECT_EQ(reply->payload, no_class);
 
   daemon.BeginDrain();
   daemon.Wait();

@@ -150,6 +150,24 @@ TEST(SrclintRuleTest, ServerLayeringIgnoresLayeringExemptions) {
                   .empty());
 }
 
+TEST(SrclintRuleTest, CommandLayerMayNotIncludeTheDaemon) {
+  // src/command/ is shared by crsat_cli and crsatd; the daemon depends
+  // on it, never the other way. Both the layering table and the
+  // server-layering rule flag the reverse edge.
+  std::vector<Finding> findings =
+      CheckTree(Testdata("commandlayering_violation"));
+  std::set<std::string> rules = Rules(findings);
+  EXPECT_TRUE(rules.count("include-layering"));
+  EXPECT_TRUE(rules.count("server-layering"));
+  for (const Finding& finding : findings) {
+    EXPECT_EQ(finding.file, "src/command/command_fixture.cc");
+  }
+}
+
+TEST(SrclintRuleTest, CommandLayeringCleanPasses) {
+  EXPECT_TRUE(CheckTree(Testdata("commandlayering_clean")).empty());
+}
+
 TEST(SrclintRuleTest, SaturationLayeringViolationCaught) {
   std::vector<Finding> findings =
       CheckTree(Testdata("saturationlayering_violation"));

@@ -63,6 +63,7 @@ mix_for() {
   echo "lint $schema --json|lint $schema --json"
   echo "witness $schema text|check $schema --witness=text"
   echo "witness $schema dot|check $schema --witness=dot"
+  echo "implies $schema isa Nope Nope|implies $schema isa Nope Nope"
 }
 
 # Reference pass: record the one-shot CLI's stdout + exit per mix entry,

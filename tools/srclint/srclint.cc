@@ -283,11 +283,16 @@ constexpr LayerRule kLayering[] = {
     // the bare CR semantics — an lp/ or reasoner/ include would let the
     // engines share a bug and hollow out the vote.
     {"saturation", "base cr"},
-    // The crsatd daemon: a leaf over the whole production stack. The
-    // reverse direction — reasoning code including server/ — is the
-    // server-layering rule below.
+    // The command layer crsat_cli and crsatd share: the served commands
+    // over the whole production stack, and nothing of the daemon (the
+    // server-layering rule below forbids that edge too).
+    {"command", "base math cr analysis expansion lp flow reasoner witness "
+                "baseline"},
+    // The crsatd daemon: a leaf over the whole production stack and the
+    // command layer. The reverse direction — reasoning code including
+    // server/ — is the server-layering rule below.
     {"server", "base math cr analysis expansion lp flow reasoner witness "
-               "baseline"},
+               "baseline command"},
 };
 
 // Files exempt from the layering rule: the public umbrella header and
