@@ -77,9 +77,6 @@ struct StatsSnapshot {
   std::uint64_t tier_fallbacks = 0;
   std::uint64_t warm_start_hits = 0;
   std::uint64_t warm_start_misses = 0;
-  std::uint64_t dual_pivots = 0;
-  std::uint64_t incremental_hits = 0;
-  std::uint64_t incremental_fallbacks = 0;
   std::uint64_t dominance_lookups = 0;
   std::uint64_t dominance_hits = 0;
   std::uint64_t derived_disjoint_pairs = 0;
@@ -97,9 +94,6 @@ struct StatsSnapshot {
     snapshot.tier_fallbacks = stats.tier_fallbacks.load();
     snapshot.warm_start_hits = stats.warm_start_hits.load();
     snapshot.warm_start_misses = stats.warm_start_misses.load();
-    snapshot.dual_pivots = stats.dual_pivots.load();
-    snapshot.incremental_hits = stats.incremental_hits.load();
-    snapshot.incremental_fallbacks = stats.incremental_fallbacks.load();
     snapshot.dominance_lookups =
         crsat::GetImplicationStats().dominance_lookups.load();
     snapshot.dominance_hits =
@@ -240,9 +234,6 @@ std::string ToJson(const std::vector<Workload>& workloads,
           << ", \"tier_fallback_rate\": " << fallback_rate
           << ", \"warm_start_hits\": " << stats.warm_start_hits
           << ", \"warm_start_misses\": " << stats.warm_start_misses
-          << ", \"dual_pivots\": " << stats.dual_pivots
-          << ", \"incremental_hits\": " << stats.incremental_hits
-          << ", \"incremental_fallbacks\": " << stats.incremental_fallbacks
           << ", \"dominance_lookups\": " << stats.dominance_lookups
           << ", \"dominance_hits\": " << stats.dominance_hits
           << ", \"derived_disjoint_pairs\": " << stats.derived_disjoint_pairs
@@ -543,9 +534,6 @@ int main(int argc, char** argv) {
                 << "  fallbacks=" << stats.tier_fallbacks
                 << "  warm_hits=" << stats.warm_start_hits
                 << "  warm_misses=" << stats.warm_start_misses
-                << "  dual_pivots=" << stats.dual_pivots
-                << "  incr_hits=" << stats.incremental_hits
-                << "  incr_fallbacks=" << stats.incremental_fallbacks
                 << "  dom_hits=" << stats.dominance_hits << "/"
                 << stats.dominance_lookups
                 << "  pruned=" << stats.pruned_subtrees << "\n";

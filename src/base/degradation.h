@@ -61,8 +61,8 @@ class ScopedDegradationPolicy {
   DegradationPolicy previous_;
 };
 
-/// True when the incremental reasoning fast paths may run: dual-simplex
-/// warm-start repair (src/lp/simplex.cc), the one-LP support cover
+/// True when the incremental reasoning fast paths may run: carried
+/// warm-start bases (src/lp/simplex.cc), the one-LP support cover
 /// (src/lp/homogeneous.cc), bound-dominance memoization
 /// (src/reasoner/implication_engine.h), declared-bound expansion pruning
 /// (src/expansion/expansion.cc) and the Lenzerini–Nobili ISA-free
@@ -81,8 +81,8 @@ bool IncrementalReasoningEnabled();
 /// assert on deltas to prove each seam really degraded instead of
 /// silently succeeding.
 struct RecoveryStats {
-  /// Rung 0 -> 1: carried warm-start basis rejected or repair aborted;
-  /// solve fell back to cold phase 1.
+  /// Rung 0 -> 1: carried warm-start basis rejected; solve fell back to
+  /// cold phase 1.
   std::atomic<std::uint64_t> warm_start_fallbacks{0};
   /// Rung 0 -> 1: support-cover LP failed; expansion fell back to
   /// per-group probe rounds.

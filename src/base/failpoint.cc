@@ -23,8 +23,8 @@ namespace {
 //                 converted to kResourceExhausted instead of a crash
 //   guard/trip    spurious ResourceGuard trip mid-batch (kInjected)
 //   incremental/* force the incremental -> cold rung
-//   lp/*          warm-start rejection, mid-repair abort, fast-tier
-//                 overflow, support-cover LP failure
+//   lp/*          warm-start rejection, fast-tier overflow,
+//                 support-cover LP failure
 //   saturation/*  graph-saturation seams: template expansion aborts
 //                 (phase A -> UNKNOWN) and finite-materialization aborts
 //                 (phase B degrades finite-model to sat-with-reuse)
@@ -38,7 +38,6 @@ constexpr const char* kRegisteredFailpoints[] = {
     "alloc/simplex",
     "guard/trip",
     "incremental/force_cold",
-    "lp/dual_repair_abort",
     "lp/fast_tier_overflow",
     "lp/support_cover_fail",
     "lp/warm_start_reject",

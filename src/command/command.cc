@@ -74,9 +74,6 @@ std::string SimplexStatsJson() {
          ", \"tier_fallbacks\": " + Load(stats.tier_fallbacks) +
          ", \"warm_start_hits\": " + Load(stats.warm_start_hits) +
          ", \"warm_start_misses\": " + Load(stats.warm_start_misses) +
-         ", \"dual_pivots\": " + Load(stats.dual_pivots) +
-         ", \"incremental_hits\": " + Load(stats.incremental_hits) +
-         ", \"incremental_fallbacks\": " + Load(stats.incremental_fallbacks) +
          ", \"dominance_lookups\": " +
          Load(GetImplicationStats().dominance_lookups) +
          ", \"dominance_hits\": " + Load(GetImplicationStats().dominance_hits) +

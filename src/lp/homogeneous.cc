@@ -213,10 +213,10 @@ Result<SupportResult> ComputeMaximalSupport(
   // system plus one `>= 1` row), so a local carry — seeded from
   // `basis_cache`, refreshed after each round from the first feasible
   // probe's export, stored back at the end — lets each probe start from
-  // the previous vertex and repair primal feasibility with a few dual
-  // pivots instead of a cold phase 1. Probes read the carry concurrently
-  // (const access only); it is updated, and the cache touched, strictly
-  // between rounds.
+  // the previous vertex instead of a cold phase 1; a carry that lands
+  // primal-infeasible for a probe is rejected and that probe runs cold.
+  // Probes read the carry concurrently (const access only); it is updated,
+  // and the cache touched, strictly between rounds.
   // Incremental path: compute the whole maximal support with ONE LP
   // instead of O(support) feasibility probes. For each unpinned variable
   // x_u add a deficit variable y_u >= 0 with `x_u + y_u >= 1`, and

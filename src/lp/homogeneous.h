@@ -84,10 +84,10 @@ struct SupportResult {
 /// to the solver, after each round the first feasible probe's exported
 /// basis (in group order, so deterministic at any thread count) becomes
 /// the new carry, and the final carry is stored back. A carried basis that
-/// is no longer primal-feasible for a probe is repaired by dual pivots
-/// (see `SimplexOptions::warm_start`); reuse affects cost only, never
-/// verdicts. The cache is touched only outside the parallel region —
-/// concurrent probes share the carry read-only.
+/// is no longer primal-feasible for a probe is rejected and that probe
+/// runs a cold phase 1 (see `SimplexOptions::warm_start`); reuse affects
+/// cost only, never verdicts. The cache is touched only outside the
+/// parallel region — concurrent probes share the carry read-only.
 ///
 /// `guard`, when non-null, is polled between probe rounds, by every lane of
 /// the parallel probe sweep, and per pivot inside each probe's solve; a

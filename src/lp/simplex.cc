@@ -22,7 +22,6 @@ void SimplexStats::Reset() {
   warm_start_misses.store(0, std::memory_order_relaxed);
   dual_pivots.store(0, std::memory_order_relaxed);
   incremental_hits.store(0, std::memory_order_relaxed);
-  incremental_fallbacks.store(0, std::memory_order_relaxed);
 }
 
 SimplexStats& GetSimplexStats() {
@@ -217,20 +216,12 @@ enum class Phase1Outcome { kFeasible, kInfeasible, kOverflow, kTripped };
 enum class WarmStartOutcome {
   // The basis pivoted in and is primal-feasible; skip phase 1.
   kFeasible,
-  // The basis pivoted in infeasible and dual pivots repaired it; skip
-  // phase 1.
-  kRepaired,
-  // Dual repair exposed an infeasibility certificate: the system has no
-  // solution (a proof, not a heuristic — see RepairPrimalFeasibility).
-  kInfeasibleProof,
   // The adopted basis is primal-feasible (rhs >= 0) but an artificial is
   // still basic: continue phase 1 from this tableau instead of rebuilding.
   kPartial,
-  // Layout mismatch, overflow, or repair pivot cap; the caller discards
-  // the tableau and runs cold.
+  // Layout mismatch, overflow, or a negative rhs after pivot-in; the
+  // caller discards the tableau and runs cold.
   kRejected,
-  // The resource guard tripped mid-repair.
-  kTripped,
 };
 
 // Dense two-phase primal simplex over an exact scalar type, materialized
@@ -286,19 +277,15 @@ class Tableau {
   // rows get dropped from exported bases), bases may be degenerate, and
   // the order the previous solve happened to leave them in never matters.
   //
-  // A landing with negative rhs entries is handed to the dual-simplex
-  // repair when `allow_dual_repair` is set (`*attempted_repair` reports
-  // whether that happened, for fallback accounting). If any artificial is
-  // still basic afterwards the result is kPartial: the tableau is a valid
-  // primal-feasible phase-1 start (rhs >= 0), so the caller continues
-  // phase 1 from it instead of from scratch — phase 2 must never see a
-  // basic artificial, even a degenerate one (a pivot elsewhere in its row
-  // could push it positive again). On kRejected the tableau may be left
-  // mid-elimination — the caller must discard it and rebuild.
-  WarmStartOutcome TryWarmStart(const WarmStartBasis& warm,
-                                bool allow_dual_repair,
-                                bool* attempted_repair) {
-    *attempted_repair = false;
+  // A landing with a negative rhs entry is rejected. If any artificial is
+  // still basic after a feasible landing the result is kPartial: the
+  // tableau is a valid primal-feasible phase-1 start (rhs >= 0), so the
+  // caller continues phase 1 from it instead of from scratch — phase 2
+  // must never see a basic artificial, even a degenerate one (a pivot
+  // elsewhere in its row could push it positive again). On kRejected the
+  // tableau may be left mid-elimination — the caller must discard it and
+  // rebuild.
+  WarmStartOutcome TryWarmStart(const WarmStartBasis& warm) {
     if (warm.num_columns != layout_->num_columns) {
       return WarmStartOutcome::kRejected;  // Differently-shaped system.
     }
@@ -346,24 +333,10 @@ class Tableau {
       }
       row_claimed[row] = true;
     }
-    bool any_negative = false;
     for (const Scalar& rhs : rhs_) {
       if (rhs.IsNegative()) {
-        any_negative = true;
-        break;
-      }
-    }
-    if (any_negative) {
-      if (!allow_dual_repair) {
         return WarmStartOutcome::kRejected;
       }
-      *attempted_repair = true;
-      WarmStartOutcome repaired = RepairPrimalFeasibility();
-      if (repaired != WarmStartOutcome::kRepaired) {
-        return repaired;
-      }
-      return AnyArtificialBasic() ? WarmStartOutcome::kPartial
-                                  : WarmStartOutcome::kRepaired;
     }
     return AnyArtificialBasic() ? WarmStartOutcome::kPartial
                                 : WarmStartOutcome::kFeasible;
@@ -376,62 +349,6 @@ class Tableau {
       }
     }
     return false;
-  }
-
-  // Dual-simplex repair against the zero objective. Every reduced cost is
-  // zero, so the current basis is trivially dual-feasible and *stays* so
-  // under any pivot; Bland-ordered dual pivots (leaving: smallest basic
-  // index among negative-rhs rows; entering: smallest eligible column)
-  // either restore rhs >= 0 or expose an infeasibility certificate: a row
-  // with negative rhs and no negative coefficient in any real column.
-  // That certificate is sound — the row reads `sum a_j x_j = b < 0` with
-  // every real `a_j >= 0` over nonnegative columns, and artificial
-  // columns (excluded from entering) are zero in any solution of the real
-  // system. A pivot cap bounds pathological cases; the caller then falls
-  // back to a cold phase 1, so the cap affects cost only, never verdicts.
-  WarmStartOutcome RepairPrimalFeasibility() {
-    const std::uint64_t max_pivots =
-        64 + 4 * static_cast<std::uint64_t>(basis_.size());
-    while (true) {
-      if (ScalarOps<Scalar>::Overflowed()) {
-        return WarmStartOutcome::kRejected;
-      }
-      if (guard_ != nullptr && !guard_->Check("simplex/dual_pivot").ok()) {
-        return WarmStartOutcome::kTripped;
-      }
-      if (CRSAT_FAILPOINT("lp/dual_repair_abort")) {
-        return WarmStartOutcome::kRejected;  // Injected mid-repair abort.
-      }
-      int leaving_row = -1;
-      for (size_t i = 0; i < basis_.size(); ++i) {
-        if (rhs_[i].IsNegative() &&
-            (leaving_row < 0 || basis_[i] < basis_[leaving_row])) {
-          leaving_row = static_cast<int>(i);
-        }
-      }
-      if (leaving_row < 0) {
-        return WarmStartOutcome::kRepaired;
-      }
-      int entering = -1;
-      for (int j = 0; j < layout_->num_with_slacks; ++j) {
-        if (matrix_[leaving_row][j].IsNegative()) {
-          entering = j;
-          break;
-        }
-      }
-      if (ScalarOps<Scalar>::Overflowed()) {
-        return WarmStartOutcome::kRejected;
-      }
-      if (entering < 0) {
-        return WarmStartOutcome::kInfeasibleProof;
-      }
-      if (dual_pivots_ >= max_pivots) {
-        return WarmStartOutcome::kRejected;
-      }
-      ++pivots_;
-      ++dual_pivots_;
-      Pivot(leaving_row, entering);
-    }
   }
 
   // Runs phase 1 (minimize the sum of artificials).
@@ -506,7 +423,6 @@ class Tableau {
 
   std::uint64_t pivots() const { return pivots_; }
   std::uint64_t phase1_pivots() const { return phase1_pivots_; }
-  std::uint64_t dual_pivots() const { return dual_pivots_; }
 
  private:
   int first_artificial() const { return layout_->num_with_slacks; }
@@ -694,7 +610,6 @@ class Tableau {
   bool ok_ = true;
   std::uint64_t pivots_ = 0;
   std::uint64_t phase1_pivots_ = 0;
-  std::uint64_t dual_pivots_ = 0;
   std::vector<std::vector<Scalar>> matrix_;
   std::vector<Scalar> rhs_;
   std::vector<int> basis_;
@@ -705,15 +620,10 @@ enum class TierOutcome { kCompleted, kOverflow, kTripped };
 
 // What happened to the caller-provided basis during one tier's attempt.
 // The completing tier's disposition drives the warm-start accounting in
-// `SolveWith`: exactly one of hits/misses per attempted solve, plus the
-// incremental (dual-repair) sub-counters.
+// `SolveWith`: exactly one of hits/misses per attempted solve.
 struct WarmDisposition {
-  bool attempted = false;        // A non-empty basis was handed in.
-  bool used = false;             // It replaced phase 1 (as-is or repaired).
-  bool repaired = false;         // Dual pivots were needed (subset of used;
-                                 // includes infeasibility proofs).
-  bool repair_fallback = false;  // Repair was attempted but abandoned and
-                                 // this tier ran a cold phase 1 instead.
+  bool attempted = false;  // A non-empty basis was handed in.
+  bool used = false;       // It was adopted in place of a cold phase 1.
 };
 
 // Runs a full two-phase solve on one arithmetic tier. On kCompleted,
@@ -726,12 +636,10 @@ TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
                         const SimplexOptions& options, LpResult* out,
                         std::uint64_t* tier_pivots,
                         std::uint64_t* tier_phase1_pivots,
-                        std::uint64_t* tier_dual_pivots,
                         WarmDisposition* warm) {
   ScalarOps<Scalar>::ClearOverflow();
   *tier_pivots = 0;
   *tier_phase1_pivots = 0;
-  *tier_dual_pivots = 0;
   *warm = WarmDisposition();
 
   std::vector<Scalar> costs(structural_costs.size(), Scalar());
@@ -753,53 +661,27 @@ TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
     return TierOutcome::kOverflow;
   }
 
-  // Pivots spent on a warm-start attempt whose tableau was then discarded
-  // (repair cap / overflow); still real work, still reported.
-  std::uint64_t discarded_pivots = 0;
-  std::uint64_t discarded_dual_pivots = 0;
-
   bool skip_phase1 = false;
   bool tableau_adopted = false;  // Carried-basis pivots applied (not fresh).
   if (options.warm_start != nullptr && !options.warm_start->empty()) {
     warm->attempted = true;
-    bool attempted_repair = false;
-    WarmStartOutcome pivot_in = tableau.TryWarmStart(
-        *options.warm_start, /*allow_dual_repair=*/true, &attempted_repair);
-    *tier_pivots = tableau.pivots();
-    *tier_dual_pivots = tableau.dual_pivots();
-    switch (pivot_in) {
+    switch (tableau.TryWarmStart(*options.warm_start)) {
       case WarmStartOutcome::kFeasible:
         skip_phase1 = true;
         warm->used = true;
-        break;
-      case WarmStartOutcome::kRepaired:
-        skip_phase1 = true;
-        warm->used = true;
-        warm->repaired = true;
         break;
       case WarmStartOutcome::kPartial:
         // Primal-feasible but an artificial survived: run phase 1 from
         // the adopted tableau (it converges in a handful of pivots from
         // here — the whole point of carrying the basis).
         warm->used = true;
-        warm->repaired = attempted_repair;
         tableau_adopted = true;
         break;
-      case WarmStartOutcome::kInfeasibleProof:
-        warm->used = true;
-        warm->repaired = true;
-        out->outcome = LpOutcome::kInfeasible;
-        return TierOutcome::kCompleted;
-      case WarmStartOutcome::kTripped:
-        return TierOutcome::kTripped;
       case WarmStartOutcome::kRejected:
         // The failed attempt may have left the tableau mid-elimination
         // (and possibly overflowed); rebuild and run cold on this tier.
         // Rung 0 -> 1 of the degradation ladder (DESIGN.md §14).
         BumpStat(GetRecoveryStats().warm_start_fallbacks);
-        warm->repair_fallback = attempted_repair;
-        discarded_pivots = tableau.pivots();
-        discarded_dual_pivots = tableau.dual_pivots();
         ScalarOps<Scalar>::ClearOverflow();
         tableau = Tableau<Scalar>(system, layout, options.guard);
         if (!tableau.ok()) {
@@ -823,17 +705,10 @@ TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
     for (VarId v : *options.crash_vars) {
       crash.basis.push_back(layout.column_of_var[v]);
     }
-    bool crash_repair = false;
-    const WarmStartOutcome crashed =
-        tableau.TryWarmStart(crash, /*allow_dual_repair=*/false,
-                             &crash_repair);
+    const WarmStartOutcome crashed = tableau.TryWarmStart(crash);
     if (crashed == WarmStartOutcome::kFeasible) {
       skip_phase1 = true;
-    } else if (crashed == WarmStartOutcome::kTripped) {
-      return TierOutcome::kTripped;
     } else if (crashed == WarmStartOutcome::kRejected) {
-      discarded_pivots += tableau.pivots();
-      discarded_dual_pivots += tableau.dual_pivots();
       ScalarOps<Scalar>::ClearOverflow();
       tableau = Tableau<Scalar>(system, layout, options.guard);
       if (!tableau.ok()) {
@@ -846,9 +721,8 @@ TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
 
   if (!skip_phase1) {
     Phase1Outcome phase1 = tableau.SolvePhase1();
-    *tier_pivots = discarded_pivots + tableau.pivots();
+    *tier_pivots = tableau.pivots();
     *tier_phase1_pivots = tableau.phase1_pivots();
-    *tier_dual_pivots = discarded_dual_pivots + tableau.dual_pivots();
     if (phase1 == Phase1Outcome::kOverflow) {
       return TierOutcome::kOverflow;
     }
@@ -862,9 +736,8 @@ TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
   }
 
   RunOutcome phase2 = tableau.SolvePhase2(costs);
-  *tier_pivots = discarded_pivots + tableau.pivots();
+  *tier_pivots = tableau.pivots();
   *tier_phase1_pivots = tableau.phase1_pivots();
-  *tier_dual_pivots = discarded_dual_pivots + tableau.dual_pivots();
   if (phase2 == RunOutcome::kOverflow) {
     return TierOutcome::kOverflow;
   }
@@ -887,21 +760,10 @@ TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
 }
 
 // Records the completing tier's warm-start disposition: one hit or miss
-// per solve that attempted reuse, plus the dual-repair sub-counters.
+// per solve that attempted reuse.
 void RecordWarmDisposition(SimplexStats& stats, const WarmDisposition& warm) {
-  if (!warm.attempted) {
-    return;
-  }
-  if (warm.used) {
-    BumpStat(stats.warm_start_hits);
-    if (warm.repaired) {
-      BumpStat(stats.incremental_hits);
-    }
-  } else {
-    BumpStat(stats.warm_start_misses);
-    if (warm.repair_fallback) {
-      BumpStat(stats.incremental_fallbacks);
-    }
+  if (warm.attempted) {
+    BumpStat(warm.used ? stats.warm_start_hits : stats.warm_start_misses);
   }
 }
 
@@ -947,7 +809,6 @@ Result<LpResult> SolveWithImpl(const LinearSystem& system,
 
   std::uint64_t tier_pivots = 0;
   std::uint64_t tier_phase1_pivots = 0;
-  std::uint64_t tier_dual_pivots = 0;
   WarmDisposition warm;
 
   bool try_fast_tier = effective.tier == SimplexOptions::Tier::kTwoTier;
@@ -965,10 +826,9 @@ Result<LpResult> SolveWithImpl(const LinearSystem& system,
     LpResult fast;
     TierOutcome outcome = SolveOnTier<SmallRational>(
         system, layout, costs, effective, &fast, &tier_pivots,
-        &tier_phase1_pivots, &tier_dual_pivots, &warm);
+        &tier_phase1_pivots, &warm);
     BumpStat(stats.pivots, tier_pivots);
     BumpStat(stats.phase1_pivots, tier_phase1_pivots);
-    BumpStat(stats.dual_pivots, tier_dual_pivots);
     if (outcome == TierOutcome::kTripped) {
       // The trip is sticky; an exact-tier restart would trip immediately.
       return effective.guard->TripStatus();
@@ -989,10 +849,9 @@ Result<LpResult> SolveWithImpl(const LinearSystem& system,
   LpResult exact;
   TierOutcome outcome = SolveOnTier<Rational>(
       system, layout, costs, effective, &exact, &tier_pivots,
-      &tier_phase1_pivots, &tier_dual_pivots, &warm);
+      &tier_phase1_pivots, &warm);
   BumpStat(stats.pivots, tier_pivots);
   BumpStat(stats.phase1_pivots, tier_phase1_pivots);
-  BumpStat(stats.dual_pivots, tier_dual_pivots);
   if (outcome == TierOutcome::kTripped) {
     return effective.guard->TripStatus();
   }

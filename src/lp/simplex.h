@@ -58,25 +58,18 @@ struct SimplexStats {
   /// Fast-tier attempts abandoned (overflow or unrepresentable input),
   /// each followed by an exact-tier solve.
   std::atomic<std::uint64_t> tier_fallbacks{0};
-  /// Solves that reused a caller-provided basis and skipped phase 1 —
-  /// either because the basis was still primal-feasible or because dual
-  /// pivots repaired it (see `incremental_hits`).
+  /// Solves that adopted a caller-provided basis: it pivoted in
+  /// primal-feasible, so phase 1 was skipped or continued from it.
   std::atomic<std::uint64_t> warm_start_hits{0};
   /// Warm-start attempts that ended in a cold phase 1: layout mismatch,
-  /// singular basis, fast-tier overflow during pivot-in, or a dual repair
-  /// that hit its pivot cap. Exactly one of hits/misses is recorded per
-  /// solve that was handed a non-empty basis, so hits + misses = attempts.
+  /// fast-tier overflow during pivot-in, or a basis that pivoted in
+  /// primal-infeasible. Exactly one of hits/misses is recorded per solve
+  /// that was handed a non-empty basis, so hits + misses = attempts.
   std::atomic<std::uint64_t> warm_start_misses{0};
-  /// Dual-simplex pivots spent repairing carried bases (subset of
-  /// `pivots`, disjoint from `phase1_pivots`).
+  /// Always 0, read by perfbench until its next change.
   std::atomic<std::uint64_t> dual_pivots{0};
-  /// Subset of `warm_start_hits` where the carried basis was *not* primal
-  /// feasible and dual pivots repaired it (or proved the system
-  /// infeasible) in place of a cold phase 1.
+  /// Always 0, read by perfbench until its next change.
   std::atomic<std::uint64_t> incremental_hits{0};
-  /// Dual repairs abandoned (pivot cap or fast-tier overflow) that fell
-  /// back to a cold phase 1; subset of `warm_start_misses`.
-  std::atomic<std::uint64_t> incremental_fallbacks{0};
 
   /// Zeroes every counter.
   void Reset();
@@ -104,8 +97,8 @@ struct WarmStartBasis {
 /// single carried `WarmStartBasis` thrashes: each differently-shaped solve
 /// overwrites the carry the next same-shaped solve needed. Keying by
 /// (variable count, constraint count) lets every shape family warm-start
-/// within itself; the dual-repair path then absorbs the remaining
-/// same-shape coefficient differences. Thread-compatible, not thread-safe:
+/// within itself; a stored basis that no longer pivots in feasible costs
+/// one cold phase 1. Thread-compatible, not thread-safe:
 /// confine a cache to one thread, and give concurrent probes private
 /// copies (see `CardinalityImplicationEngine::CheckAllPartial`).
 class WarmStartBasisCache {
@@ -143,13 +136,11 @@ struct SimplexOptions {
   };
   Tier tier = Tier::kTwoTier;
   /// When non-null and structurally compatible, the solve pivots into this
-  /// basis and skips phase 1. A basis that pivots in cleanly but is no
-  /// longer primal-feasible (the common case after a probe bound changed)
-  /// is repaired by dual-simplex pivots against the zero objective instead
-  /// of being rejected; only a layout mismatch, a singular basis, or a
-  /// repair that exceeds its pivot cap falls back to a cold start. Ignored
-  /// entirely when `IncrementalReasoningEnabled()` is false
-  /// (src/base/degradation.h) — the forced-cold reference path.
+  /// basis and skips phase 1. The basis is adopted if it pivots in
+  /// primal-feasible and rejected otherwise: a layout mismatch, a fast-tier
+  /// overflow, or a negative right-hand side after pivot-in falls back to a
+  /// cold phase 1. Ignored entirely when `IncrementalReasoningEnabled()` is
+  /// false (src/base/degradation.h) — the forced-cold reference path.
   const WarmStartBasis* warm_start = nullptr;
   /// When non-null, receives the final basis of an optimal solve.
   WarmStartBasis* export_basis = nullptr;

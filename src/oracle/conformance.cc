@@ -274,9 +274,6 @@ std::string ConformanceReport::ToJson() const {
         << ", \"pivots\": " << load(lp.pivots)
         << ", \"warm_start_hits\": " << load(lp.warm_start_hits)
         << ", \"warm_start_misses\": " << load(lp.warm_start_misses)
-        << ", \"dual_pivots\": " << load(lp.dual_pivots)
-        << ", \"incremental_hits\": " << load(lp.incremental_hits)
-        << ", \"incremental_fallbacks\": " << load(lp.incremental_fallbacks)
         << ", \"dominance_lookups\": " << load(probe.dominance_lookups)
         << ", \"dominance_hits\": " << load(probe.dominance_hits)
         << ", \"derived_disjoint_pairs\": "

@@ -151,9 +151,9 @@ class CardinalityImplicationEngine {
   // warm-start bases between probes: successive probes alternate between a
   // handful of system shapes (only the overridden bound's coefficients
   // change within a shape), so a previous probe's optimal basis is reused
-  // as-is or dual-repaired instead of a cold phase 1. Serial queries pass
-  // `&carry_cache_`; `CheckAll` gives each concurrent probe a private copy
-  // of the current cache so verdicts stay independent of scheduling.
+  // when it pivots in feasible instead of a cold phase 1. Serial queries
+  // pass `&carry_cache_`; `CheckAll` gives each concurrent probe a private
+  // copy of the current cache so verdicts stay independent of scheduling.
   Result<bool> AuxiliarySatisfiableWith(Cardinality cardinality,
                                         WarmStartBasisCache* cache) const;
 

@@ -145,9 +145,9 @@ class SatisfiabilityChecker {
   /// and feasible probes write their final bases back. Intended for callers
   /// that build many short-lived checkers over the same expansion with
   /// slightly different cardinality overrides (the implication engine's
-  /// bisection); a stale entry is either repaired by dual pivots or costs
-  /// one rejected warm-start attempt. The pointee must outlive the first
-  /// `Support()` call; pass before any query.
+  /// bisection); a stale entry costs one rejected warm-start attempt. The
+  /// pointee must outlive the first `Support()` call; pass before any
+  /// query.
   void SetProbeBasisCache(WarmStartBasisCache* cache) { probe_cache_ = cache; }
 
  private:

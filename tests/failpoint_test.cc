@@ -3,8 +3,8 @@
 // schedule semantics (nth / every-K / seeded probability, env grammar,
 // RAII scoping), a registry coverage sweep proving every registered
 // failpoint can actually fire from its production seam, seam-level
-// degradation tests (warm-start rejection and mid-repair abort fall back
-// to a cold phase 1 with exact accounting; injected guard trips and
+// degradation tests (a rejected or primal-infeasible carried basis falls
+// back to a cold phase 1 with exact accounting; injected guard trips and
 // allocation failures surface as honest resource statuses, never wrong
 // answers), and a flip-detection test proving the chaos harness would
 // catch an unsound ladder.
@@ -41,7 +41,7 @@ LinearExpr Expr(std::vector<std::pair<int, std::int64_t>> terms,
 }
 
 // x + y >= 4, x <= 10; maximizing x lands on x = 10 with the >=-row's
-// surplus basic — the carried basis the repair tests perturb.
+// surplus basic — the carried basis the warm-start tests perturb.
 LinearSystem WideSystem() {
   LinearSystem system;
   system.AddVariable("x");
@@ -52,8 +52,8 @@ LinearSystem WideSystem() {
 }
 
 // Same shape with the x-cap tightened to 2: the basis carried from
-// WideSystem pivots in with a negative right-hand side, forcing
-// RepairPrimalFeasibility to run dual pivots.
+// WideSystem pivots in with a negative right-hand side, so the solve must
+// reject it and run a cold phase 1.
 LinearSystem TightenedSystem() {
   LinearSystem system;
   system.AddVariable("x");
@@ -215,8 +215,8 @@ TEST(FailpointEnvGrammarTest, MalformedEntriesRejectEarlierEntriesStay) {
 // --- Registry coverage: every failpoint fires from its seam ------------
 
 // One driver per registered failpoint. Each arms ONLY its own id (the
-// seams shadow each other — e.g. a warm-start rejection prevents the
-// dual-repair site from ever being reached), runs a workload that
+// seams shadow each other — e.g. forcing the cold path prevents the
+// warm-start rejection site from ever being reached), runs a workload that
 // reaches the seam, and asserts the degraded result is still correct.
 // The suite-level test below asserts this table covers the registry
 // exactly, so registering a new failpoint without a firing test fails.
@@ -278,22 +278,6 @@ void DriveWarmStartReject() {
   EXPECT_EQ(result.objective, Rational(10));  // Cold fallback, same answer.
   EXPECT_EQ(Load(GetSimplexStats().warm_start_hits), 0u);
   EXPECT_EQ(Load(GetSimplexStats().warm_start_misses), 1u);
-}
-
-void DriveDualRepairAbort() {
-  ScopedDegradationPolicy on(DegradationPolicy{});
-  WarmStartBasis basis = SolveWideExportingBasis();
-  GetSimplexStats().Reset();
-  SimplexOptions warm;
-  warm.warm_start = &basis;
-  LpResult result =
-      SimplexSolver::SolveWith(TightenedSystem(), Expr({{0, 1}}),
-                               /*maximize=*/true, warm)
-          .value();
-  EXPECT_EQ(result.outcome, LpOutcome::kOptimal);
-  EXPECT_EQ(result.objective, Rational(2));  // Cold fallback, same answer.
-  EXPECT_EQ(Load(GetSimplexStats().warm_start_misses), 1u);
-  EXPECT_EQ(Load(GetSimplexStats().incremental_fallbacks), 1u);
 }
 
 void DriveSupportCoverFail() {
@@ -422,7 +406,6 @@ constexpr SeamCase kSeamCases[] = {
     {"alloc/simplex", DriveAllocSimplex},
     {"guard/trip", DriveGuardTrip},
     {"incremental/force_cold", DriveIncrementalForceCold},
-    {"lp/dual_repair_abort", DriveDualRepairAbort},
     {"lp/fast_tier_overflow", DriveFastTierOverflow},
     {"lp/support_cover_fail", DriveSupportCoverFail},
     {"lp/warm_start_reject", DriveWarmStartReject},
@@ -470,80 +453,45 @@ TEST(FailpointCoverageTest, SeamTableCoversTheRegistryExactly) {
       << "every registered failpoint needs a firing seam test";
 }
 
-// --- Mid-repair degradation: accounting at 1/2/8 threads ---------------
+// --- Infeasible carried basis: accounting at 1/2/8 threads -------------
 
-// An abort in the middle of RepairPrimalFeasibility must fall back to a
-// cold phase 1 with the verdicts unchanged and the books balanced: the
-// failed attempt is a warm-start miss AND an incremental fallback, and
-// the faulted sweep reaches the same verdicts as the clean one with the
-// same total number of warm-start attempts.
-TEST(MidRepairDegradationTest, RepairAbortFallsBackColdAcrossThreadCounts) {
+// A carried basis that pivots in with a negative right-hand side is
+// rejected: the solve runs a cold phase 1 with the verdict unchanged, and
+// the books show one warm-start miss and one rung-0 -> 1 fallback, at any
+// thread count.
+TEST(WarmStartDegradationTest, InfeasibleCarriedBasisFallsBackCold) {
   ScopedDegradationPolicy on(DegradationPolicy{});
-  Schema schema = testing::MeetingSchema();
   for (int threads : {1, 2, 8}) {
     SCOPED_TRACE(threads);
     SetGlobalThreadCount(threads);
-
-    GetSimplexStats().Reset();
-    GetRecoveryStats().Reset();
-    Expansion clean_expansion = Expansion::Build(schema).value();
-    SatisfiabilityChecker clean_checker(clean_expansion);
-    const std::vector<bool> clean = clean_checker.SatisfiableClasses().value();
-    const std::uint64_t clean_attempts =
-        Load(GetSimplexStats().warm_start_hits) +
-        Load(GetSimplexStats().warm_start_misses);
-
-    // Deterministic LP-level repair, per thread count: the carried basis
-    // goes primal-infeasible, repair starts, the failpoint aborts it.
     WarmStartBasis basis = SolveWideExportingBasis();
     GetSimplexStats().Reset();
-    {
-      ScopedFailpoint armed("lp/dual_repair_abort", /*nth=*/1);
-      ASSERT_TRUE(armed.status().ok());
-      SimplexOptions warm;
-      warm.warm_start = &basis;
-      LpResult repaired =
-          SimplexSolver::SolveWith(TightenedSystem(), Expr({{0, 1}}),
-                                   /*maximize=*/true, warm)
-              .value();
-      EXPECT_EQ(repaired.outcome, LpOutcome::kOptimal);
-      EXPECT_EQ(repaired.objective, Rational(2));
-    }
+    GetRecoveryStats().Reset();
+    SimplexOptions warm;
+    warm.warm_start = &basis;
+    LpResult result =
+        SimplexSolver::SolveWith(TightenedSystem(), Expr({{0, 1}}),
+                                 /*maximize=*/true, warm)
+            .value();
+    EXPECT_EQ(result.outcome, LpOutcome::kOptimal);
+    EXPECT_EQ(result.objective, Rational(2));
     EXPECT_EQ(Load(GetSimplexStats().warm_start_hits), 0u);
     EXPECT_EQ(Load(GetSimplexStats().warm_start_misses), 1u);
-    EXPECT_EQ(Load(GetSimplexStats().incremental_fallbacks), 1u);
-    EXPECT_GE(Load(GetRecoveryStats().warm_start_fallbacks), 1u);
-
-    // Whole-pipeline re-run with every repair aborted: same verdicts,
-    // same number of warm-start attempts, every attempted repair now a
-    // miss instead of a hit.
-    GetSimplexStats().Reset();
-    {
-      FailpointSpec spec;
-      spec.id = "lp/dual_repair_abort";
-      spec.mode = FailpointMode::kEveryK;
-      spec.n = 1;
-      ScopedFailpoint armed(spec);
-      ASSERT_TRUE(armed.status().ok());
-      Expansion expansion = Expansion::Build(schema).value();
-      SatisfiabilityChecker checker(expansion);
-      EXPECT_EQ(checker.SatisfiableClasses().value(), clean);
-    }
-    EXPECT_EQ(Load(GetSimplexStats().warm_start_hits) +
-                  Load(GetSimplexStats().warm_start_misses),
-              clean_attempts);
+    EXPECT_EQ(Load(GetRecoveryStats().warm_start_fallbacks), 1u);
   }
   SetGlobalThreadCount(1);
 }
 
-// A guard trip *during* repair must not fall back at all: the trip is
-// sticky, so the solve unwinds with the honest resource status instead
-// of burning the rest of the budget on a cold phase 1.
-TEST(MidRepairDegradationTest, GuardTripDuringRepairSurfacesAsResource) {
+// A guard trip during a warm-started solve must not fall back at all:
+// the trip is sticky, so the solve unwinds with the honest resource
+// status instead of burning the rest of the budget on a cold phase 1.
+// The second poll is the first pivot of the cold phase 1 that follows
+// the rejected carry.
+TEST(WarmStartDegradationTest, GuardTripDuringWarmStartSurfacesAsResource) {
   ScopedDegradationPolicy on(DegradationPolicy{});
   WarmStartBasis basis = SolveWideExportingBasis();
   ResourceGuard guard;
-  ScopedFailpoint armed("guard/trip", /*nth=*/1);
+  ScopedFailpoint armed("guard/trip", /*nth=*/2);
   ASSERT_TRUE(armed.status().ok());
   SimplexOptions warm;
   warm.warm_start = &basis;
@@ -553,6 +501,7 @@ TEST(MidRepairDegradationTest, GuardTripDuringRepairSurfacesAsResource) {
   ASSERT_FALSE(tripped.ok());
   EXPECT_TRUE(IsResourceLimitStatus(tripped.status().code()));
   EXPECT_EQ(guard.report().tripped, ResourceLimitKind::kInjected);
+  EXPECT_EQ(guard.report().site, "simplex/pivot");
 }
 
 // --- Degradation policy ------------------------------------------------

@@ -204,7 +204,7 @@ TEST(SrclintRuleTest, SaturationLayeringExemptsOnlyTheDriver) {
 }
 
 TEST(SrclintRuleTest, RealReasonerStaysOutOfTheSaturationEngine) {
-  // Mutation-style pin, same idiom as RealDualRepairStaysGuarded: the
+  // Mutation-style pin, same idiom as RealFailpointSeamsStayRegistered: the
   // real reasoner core scans clean of the rule today, and planting the
   // engine include turns the scan red — so a refactor that quietly
   // couples the system under test to its cross-check fails tier 1.
@@ -273,42 +273,6 @@ TEST(SrclintRuleTest, CertifyLegitimateUsePasses) {
   EXPECT_TRUE(CheckTree(Testdata("certify_clean")).empty());
 }
 
-TEST(SrclintRuleTest, DualPivotGuardViolationCaught) {
-  std::vector<Finding> findings = CheckTree(Testdata("dualpivot_violation"));
-  // Missing guard poll AND missing pivot cap — one finding each.
-  ASSERT_EQ(findings.size(), 2u);
-  for (const Finding& finding : findings) {
-    EXPECT_EQ(finding.rule, "dual-pivot-guard");
-    EXPECT_EQ(finding.file, "src/lp/repair.cc");
-  }
-}
-
-TEST(SrclintRuleTest, DualPivotGuardCleanPasses) {
-  EXPECT_TRUE(CheckTree(Testdata("dualpivot_clean")).empty());
-}
-
-TEST(SrclintRuleTest, RealDualRepairStaysGuarded) {
-  // The rule exists to pin the production repair loop; check it against
-  // the real file, then mutate the poll key away and expect red — this
-  // is what keeps the rule from going silently dead under a rename.
-  std::ifstream in(fs::path(CRSAT_SOURCE_DIR) / "src" / "lp" / "simplex.cc");
-  ASSERT_TRUE(in.is_open());
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string original = buffer.str();
-  ASSERT_NE(original.find("RepairPrimalFeasibility"), std::string::npos);
-  for (const Finding& finding : CheckSource("src/lp/simplex.cc", original)) {
-    EXPECT_NE(finding.rule, "dual-pivot-guard") << finding.message;
-  }
-  std::string mutated = original;
-  size_t at = mutated.find("\"simplex/dual_pivot\"");
-  ASSERT_NE(at, std::string::npos);
-  mutated.replace(at, 20, "\"simplex/unpolled\"");
-  std::set<std::string> rules = Rules(CheckSource("src/lp/simplex.cc",
-                                                  mutated));
-  EXPECT_TRUE(rules.count("dual-pivot-guard"));
-}
-
 TEST(SrclintRuleTest, FailpointHygieneViolationCaught) {
   std::vector<Finding> findings = CheckTree(Testdata("failpoint_violation"));
   // Unregistered id + non-literal argument in src/lp/, plus a site in
@@ -341,10 +305,10 @@ TEST(SrclintRuleTest, OracleFailpointFlaggedDespiteLayeringExemption) {
 }
 
 TEST(SrclintRuleTest, RealFailpointSeamsStayRegistered) {
-  // Same idiom as RealDualRepairStaysGuarded: the production warm-start
-  // seam must scan clean, and a typo'd id must turn the scan red — a
-  // typo'd failpoint never fires and silently drops its seam from the
-  // chaos sweep.
+  // The production warm-start seam must scan clean, and a typo'd id must
+  // turn the scan red — a typo'd failpoint never fires and silently drops
+  // its seam from the chaos sweep. Checking the real file keeps the rule
+  // from going silently dead under a rename.
   std::ifstream in(fs::path(CRSAT_SOURCE_DIR) / "src" / "lp" / "simplex.cc");
   ASSERT_TRUE(in.is_open());
   std::ostringstream buffer;

@@ -669,89 +669,6 @@ void CheckCertifyNonBypass(const std::string& path, const ScannedFile& scan,
   }
 }
 
-// --- Rule: dual-pivot-guard -----------------------------------------------
-
-// The dual-simplex warm-start repair pivots BEFORE phase 1's guard-polled
-// main loop is reachable, so every definition of RepairPrimalFeasibility
-// in src/lp/ must carry its own bound: a ResourceGuard poll under the
-// "simplex/dual_pivot" key and an explicit pivot cap (`max_pivots`). A
-// refactor that drops either turns a rejected carried basis into a
-// potential hang — the repair loop is the one place where an adversarial
-// warm start controls the iteration count.
-void CheckDualPivotGuard(const std::string& path, const ScannedFile& scan,
-                         std::vector<Finding>* findings) {
-  if (SrcDirOf(path) != "lp") {
-    return;
-  }
-  const std::vector<Token>& tokens = scan.tokens;
-  for (size_t i = 0; i < tokens.size(); ++i) {
-    if (tokens[i].kind != TokenKind::kIdentifier ||
-        tokens[i].text != "RepairPrimalFeasibility") {
-      continue;
-    }
-    // Find a definition: parameter list, optional trailing specifiers,
-    // then '{'. Declarations and call sites end in ';' or ',' instead.
-    size_t j = i + 1;
-    if (j >= tokens.size() || tokens[j].kind != TokenKind::kPunct ||
-        tokens[j].text != "(") {
-      continue;
-    }
-    int parens = 0;
-    while (j < tokens.size()) {
-      if (tokens[j].kind == TokenKind::kPunct) {
-        if (tokens[j].text == "(") {
-          ++parens;
-        } else if (tokens[j].text == ")" && --parens == 0) {
-          break;
-        }
-      }
-      ++j;
-    }
-    ++j;
-    while (j < tokens.size() && tokens[j].kind == TokenKind::kIdentifier) {
-      ++j;  // const, noexcept, ...
-    }
-    if (j >= tokens.size() || tokens[j].kind != TokenKind::kPunct ||
-        tokens[j].text != "{") {
-      continue;
-    }
-    bool polled = false;
-    bool capped = false;
-    int depth = 0;
-    for (; j < tokens.size(); ++j) {
-      const Token& t = tokens[j];
-      if (t.kind == TokenKind::kPunct) {
-        if (t.text == "{") {
-          ++depth;
-        } else if (t.text == "}" && --depth == 0) {
-          break;
-        }
-      } else if (t.kind == TokenKind::kString &&
-                 t.text.find("simplex/dual_pivot") != std::string::npos) {
-        polled = true;
-      } else if (t.kind == TokenKind::kIdentifier &&
-                 t.text == "max_pivots") {
-        capped = true;
-      }
-    }
-    if (!polled) {
-      Emit(findings, path, tokens[i].line, "dual-pivot-guard",
-           "RepairPrimalFeasibility (the dual-simplex repair loop) must "
-           "poll the ResourceGuard under the \"simplex/dual_pivot\" key on "
-           "every pivot: it runs before phase 1's polled loop, so without "
-           "its own poll an adversarial carried basis pivots unbounded");
-    }
-    if (!capped) {
-      Emit(findings, path, tokens[i].line, "dual-pivot-guard",
-           "RepairPrimalFeasibility must enforce an explicit pivot cap "
-           "(`max_pivots`): dual repair is an acceleration and must reject "
-           "the carried basis and fall back to cold phase 1 instead of "
-           "grinding");
-    }
-    i = j;
-  }
-}
-
 // --- Rule: failpoint-hygiene ----------------------------------------------
 
 // Mirror of the registry in src/base/failpoint.cc (kept sorted). The
@@ -763,7 +680,6 @@ constexpr const char* kFailpointRegistry[] = {
     "alloc/simplex",
     "guard/trip",
     "incremental/force_cold",
-    "lp/dual_repair_abort",
     "lp/fast_tier_overflow",
     "lp/support_cover_fail",
     "lp/warm_start_reject",
@@ -874,7 +790,6 @@ std::vector<Finding> CheckSource(const std::string& path,
   CheckUnguardedLoops(path, scan, &findings);
   CheckBannedConstructs(path, scan, &findings);
   CheckCertifyNonBypass(path, scan, &findings);
-  CheckDualPivotGuard(path, scan, &findings);
   CheckFailpointHygiene(path, scan, &findings);
   CheckAllowPragmas(path, scan, &findings);
   return findings;

@@ -30,12 +30,6 @@
 //                       invoked only from the witness pipeline
 //                       (src/witness/): nobody mints a certificate
 //                       without running ModelChecker.
-//   dual-pivot-guard    any definition of `RepairPrimalFeasibility` in
-//                       src/lp/ (the dual-simplex warm-start repair, the
-//                       one pivot loop that runs before phase 1's polled
-//                       loop) must poll the ResourceGuard under the
-//                       "simplex/dual_pivot" key and enforce an explicit
-//                       `max_pivots` cap.
 //   failpoint-hygiene   every `CRSAT_FAILPOINT(...)` site must pass a
 //                       string literal naming an id from the static
 //                       registry in src/base/failpoint.cc (mirrored in
