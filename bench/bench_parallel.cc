@@ -4,7 +4,8 @@
 // workloads at several thread counts, (b) cross-checks that every verdict
 // and witness is bit-identical across those thread counts (exiting
 // non-zero otherwise, so CI can gate on it), and (c) reports the
-// two-tier/warm-start counters from `SimplexStats`. With `--json <path>`
+// two-tier/warm-start counters and per-phase LP times from
+// `SimplexStats`. With `--json <path>`
 // it writes the numbers in the BENCH_*.json shape committed at the repo
 // root (see README "Benchmarking").
 //
@@ -47,6 +48,11 @@ double MillisSince(Clock::time_point start) {
       .count();
 }
 
+// A phase counter's total per timed run, in milliseconds.
+double PerRunMs(std::uint64_t total_ns, int repeat) {
+  return static_cast<double>(total_ns) / 1e6 / repeat;
+}
+
 crsat::Schema ChainSchema(int depth) {
   // Same shape as bench_implication_scaling: an ISA chain with cardinality
   // pressure along a relationship pinned at both ends, so every implied
@@ -77,6 +83,11 @@ struct StatsSnapshot {
   std::uint64_t tier_fallbacks = 0;
   std::uint64_t warm_start_hits = 0;
   std::uint64_t warm_start_misses = 0;
+  // LP wall time per phase, summed over solves and threads.
+  std::uint64_t layout_ns = 0;
+  std::uint64_t pivot_in_ns = 0;
+  std::uint64_t phase1_ns = 0;
+  std::uint64_t phase2_ns = 0;
   std::uint64_t dominance_lookups = 0;
   std::uint64_t dominance_hits = 0;
   std::uint64_t derived_disjoint_pairs = 0;
@@ -94,6 +105,10 @@ struct StatsSnapshot {
     snapshot.tier_fallbacks = stats.tier_fallbacks.load();
     snapshot.warm_start_hits = stats.warm_start_hits.load();
     snapshot.warm_start_misses = stats.warm_start_misses.load();
+    snapshot.layout_ns = stats.layout_ns.load();
+    snapshot.pivot_in_ns = stats.pivot_in_ns.load();
+    snapshot.phase1_ns = stats.phase1_ns.load();
+    snapshot.phase2_ns = stats.phase2_ns.load();
     snapshot.dominance_lookups =
         crsat::GetImplicationStats().dominance_lookups.load();
     snapshot.dominance_hits =
@@ -135,6 +150,7 @@ struct Workload {
   std::string name;
   std::vector<Timing> timings;
   bool deterministic = true;
+  int repeat = 1;
 };
 
 std::string DigestReport(const crsat::Schema& schema,
@@ -150,6 +166,7 @@ Workload TimeAtThreadCounts(const std::string& name,
                             bool single_core, bool oversubscribe, Fn run) {
   Workload workload;
   workload.name = name;
+  workload.repeat = repeat;
   for (int threads : thread_counts) {
     if (single_core && threads > 1) {
       Timing timing;
@@ -234,6 +251,11 @@ std::string ToJson(const std::vector<Workload>& workloads,
           << ", \"tier_fallback_rate\": " << fallback_rate
           << ", \"warm_start_hits\": " << stats.warm_start_hits
           << ", \"warm_start_misses\": " << stats.warm_start_misses
+          << ", \"layout_ms\": " << PerRunMs(stats.layout_ns, workload.repeat)
+          << ", \"pivot_in_ms\": "
+          << PerRunMs(stats.pivot_in_ns, workload.repeat)
+          << ", \"phase1_ms\": " << PerRunMs(stats.phase1_ns, workload.repeat)
+          << ", \"phase2_ms\": " << PerRunMs(stats.phase2_ns, workload.repeat)
           << ", \"dominance_lookups\": " << stats.dominance_lookups
           << ", \"dominance_hits\": " << stats.dominance_hits
           << ", \"derived_disjoint_pairs\": " << stats.derived_disjoint_pairs
@@ -534,6 +556,11 @@ int main(int argc, char** argv) {
                 << "  fallbacks=" << stats.tier_fallbacks
                 << "  warm_hits=" << stats.warm_start_hits
                 << "  warm_misses=" << stats.warm_start_misses
+                << "  layout_ms=" << PerRunMs(stats.layout_ns, workload.repeat)
+                << "  pivot_in_ms="
+                << PerRunMs(stats.pivot_in_ns, workload.repeat)
+                << "  phase1_ms=" << PerRunMs(stats.phase1_ns, workload.repeat)
+                << "  phase2_ms=" << PerRunMs(stats.phase2_ns, workload.repeat)
                 << "  dom_hits=" << stats.dominance_hits << "/"
                 << stats.dominance_lookups
                 << "  pruned=" << stats.pruned_subtrees << "\n";

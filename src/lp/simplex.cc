@@ -1,6 +1,7 @@
 #include "src/lp/simplex.h"
 
 #include <algorithm>
+#include <chrono>
 #include <new>
 #include <utility>
 
@@ -22,6 +23,10 @@ void SimplexStats::Reset() {
   warm_start_misses.store(0, std::memory_order_relaxed);
   dual_pivots.store(0, std::memory_order_relaxed);
   incremental_hits.store(0, std::memory_order_relaxed);
+  layout_ns.store(0, std::memory_order_relaxed);
+  pivot_in_ns.store(0, std::memory_order_relaxed);
+  phase1_ns.store(0, std::memory_order_relaxed);
+  phase2_ns.store(0, std::memory_order_relaxed);
 }
 
 SimplexStats& GetSimplexStats() {
@@ -71,6 +76,40 @@ void BumpStat(std::atomic<std::uint64_t>& counter, std::uint64_t amount = 1) {
   counter.fetch_add(amount, std::memory_order_relaxed);
 }
 
+// Adds wall time to one SimplexStats phase counter at a time: `Switch`
+// closes the running phase and opens the next, and destruction closes the
+// last one, so every return path is accounted for.
+class PhaseTimer {
+ public:
+  explicit PhaseTimer(std::atomic<std::uint64_t>& counter)
+      : counter_(&counter), start_(Clock::now()) {}
+  ~PhaseTimer() { Close(Clock::now()); }
+
+  PhaseTimer(const PhaseTimer&) = delete;
+  PhaseTimer& operator=(const PhaseTimer&) = delete;
+
+  void Switch(std::atomic<std::uint64_t>& counter) {
+    const Clock::time_point now = Clock::now();
+    Close(now);
+    counter_ = &counter;
+    start_ = now;
+  }
+
+ private:
+  using Clock = std::chrono::steady_clock;
+
+  void Close(Clock::time_point now) {
+    BumpStat(*counter_,
+             static_cast<std::uint64_t>(
+                 std::chrono::duration_cast<std::chrono::nanoseconds>(
+                     now - start_)
+                     .count()));
+  }
+
+  std::atomic<std::uint64_t>* counter_;
+  Clock::time_point start_;
+};
+
 // Arithmetic-tier glue. Both scalars are exact rationals; the small one
 // abstains (via a sticky thread-local flag) instead of losing precision.
 template <typename Scalar>
@@ -83,6 +122,10 @@ struct ScalarOps<Rational> {
     return true;
   }
   static Rational ToRational(const Rational& value) { return value; }
+  static void SubtractProduct(Rational* target, const Rational& factor,
+                              const Rational& value) {
+    *target -= factor * value;
+  }
   static bool Overflowed() { return false; }
   static void ClearOverflow() {}
 };
@@ -103,13 +146,18 @@ struct ScalarOps<SmallRational> {
   static Rational ToRational(const SmallRational& value) {
     return Rational(BigInt(value.numerator()), BigInt(value.denominator()));
   }
+  static void SubtractProduct(SmallRational* target,
+                              const SmallRational& factor,
+                              const SmallRational& value) {
+    target->SubtractProduct(factor, value);
+  }
   static bool Overflowed() { return SmallRational::OverflowSeen(); }
   static void ClearOverflow() { SmallRational::ClearOverflow(); }
 };
 
-// Tier-independent tableau shape: column layout and sign-normalized rows,
-// still in exact `Rational` form. Computed once per solve and shared by
-// both tiers (the exact fallback must see exactly the system the fast
+// Tier-independent tableau shape: column layout and sign-normalized sparse
+// rows, still in exact `Rational` form. Computed once per solve and shared
+// by both tiers (the exact fallback must see exactly the system the fast
 // attempt saw).
 //
 // Column layout: [structural columns][slack/surplus columns][artificial
@@ -118,11 +166,12 @@ struct ScalarOps<SmallRational> {
 // free variable is split into two columns (x = pos - neg).
 struct TableauLayout {
   struct Row {
-    std::vector<Rational> coeffs;
+    // Structural nonzeros, sorted by column.
+    std::vector<std::pair<int, Rational>> coeffs;
     Rational rhs;
     ConstraintSense sense = ConstraintSense::kEqual;
     int slack_column = -1;
-    Rational slack_sign;
+    int slack_sign = 0;
     int artificial_column = -1;
   };
 
@@ -146,25 +195,28 @@ struct TableauLayout {
     num_structural = num_columns;
 
     // One row per constraint, with b >= 0 after sign normalization.
+    rows.reserve(system.num_constraints());
     for (const Constraint& constraint : system.constraints()) {
       Row row;
-      row.coeffs.assign(num_structural, Rational());
-      for (const auto& [var, coeff] : constraint.expr.terms()) {
-        row.coeffs[column_of_var[var]] += coeff;
-        if (neg_column_of_var[var] >= 0) {
-          row.coeffs[neg_column_of_var[var]] -= coeff;
-        }
-      }
       row.rhs = -constraint.expr.constant();
       ConstraintSense sense = constraint.sense;
-      if (row.rhs.IsNegative() ||
-          (row.rhs.IsZero() && sense == ConstraintSense::kGreaterEqual)) {
-        // Normalize to b >= 0; additionally flip zero-RHS `>=` rows into
-        // `<=` form so their slack can start basic — homogeneous systems
-        // then need (almost) no artificials and phase 1 is trivial.
-        for (Rational& c : row.coeffs) {
-          c = -c;
+      // Normalize to b >= 0; additionally flip zero-RHS `>=` rows into
+      // `<=` form so their slack can start basic — homogeneous systems
+      // then need (almost) no artificials and phase 1 is trivial.
+      const bool flip =
+          row.rhs.IsNegative() ||
+          (row.rhs.IsZero() && sense == ConstraintSense::kGreaterEqual);
+      // Terms are sorted by variable and a variable's columns are
+      // consecutive, so appending keeps the row sorted by column.
+      row.coeffs.reserve(constraint.expr.terms().size());
+      for (const auto& [var, coeff] : constraint.expr.terms()) {
+        row.coeffs.emplace_back(column_of_var[var], flip ? -coeff : coeff);
+        if (neg_column_of_var[var] >= 0) {
+          row.coeffs.emplace_back(neg_column_of_var[var],
+                                  flip ? coeff : -coeff);
         }
+      }
+      if (flip) {
         row.rhs = -row.rhs;
         if (sense == ConstraintSense::kLessEqual) {
           sense = ConstraintSense::kGreaterEqual;
@@ -180,10 +232,10 @@ struct TableauLayout {
     for (Row& row : rows) {
       if (row.sense == ConstraintSense::kLessEqual) {
         row.slack_column = num_columns++;
-        row.slack_sign = Rational(1);
+        row.slack_sign = 1;
       } else if (row.sense == ConstraintSense::kGreaterEqual) {
         row.slack_column = num_columns++;
-        row.slack_sign = Rational(-1);
+        row.slack_sign = -1;
       }
     }
     num_with_slacks = num_columns;
@@ -224,8 +276,20 @@ enum class WarmStartOutcome {
   kRejected,
 };
 
-// Dense two-phase primal simplex over an exact scalar type, materialized
-// from a shared `TableauLayout`.
+// Sparse two-phase primal simplex over an exact scalar type, built from a
+// shared `TableauLayout`. Each row stores its nonzeros (in no particular
+// order), and a column -> rows index lists, for every column, every row
+// holding a nonzero in it. A pivot therefore visits only the rows with a
+// nonzero in the pivot column, and in each only its own nonzeros and the
+// pivot row's. It performs exactly the arithmetic a dense elimination
+// performs on nonzero operands, so values, pivot choices and fast-tier
+// overflow flags are those of a dense tableau; every choice that scans
+// rows or columns takes the lowest index, whatever order it visits them in.
+//
+// Cancellation does not touch the index: a list may also name rows whose
+// entry has since cancelled, and name a row twice once it fills in again.
+// Every reader looks the entry up and skips such rows, and the index is
+// rebuilt from the rows once its lists outgrow four times the nonzeros.
 template <typename Scalar>
 class Tableau {
  public:
@@ -234,34 +298,53 @@ class Tableau {
       : system_(&system), layout_(&layout), guard_(guard),
         live_columns_(layout.num_columns) {
     const size_t m = layout.rows.size();
-    matrix_.assign(m, std::vector<Scalar>(layout.num_columns, Scalar()));
+    rows_.resize(m);
     rhs_.assign(m, Scalar());
     basis_.assign(m, -1);
+    basic_row_.assign(layout.num_columns, -1);
+    column_rows_.resize(layout.num_columns);
+    pivot_slot_.resize(layout.num_columns);
+    row_gathered_.assign(m, 0);
     for (size_t i = 0; i < m; ++i) {
-      const TableauLayout::Row& row = layout.rows[i];
-      for (int j = 0; j < layout.num_structural; ++j) {
-        if (!ScalarOps<Scalar>::FromRational(row.coeffs[j], &matrix_[i][j])) {
+      const TableauLayout::Row& layout_row = layout.rows[i];
+      std::vector<Entry>& row = rows_[i];
+      row.reserve(layout_row.coeffs.size() + 2);
+      for (const auto& [column, coeff] : layout_row.coeffs) {
+        Scalar value;
+        if (!ScalarOps<Scalar>::FromRational(coeff, &value)) {
           ok_ = false;
           return;
         }
+        row.push_back(Entry{column, std::move(value)});
       }
-      if (row.slack_column >= 0 &&
-          !ScalarOps<Scalar>::FromRational(row.slack_sign,
-                                           &matrix_[i][row.slack_column])) {
-        ok_ = false;
-        return;
+      if (layout_row.slack_column >= 0) {
+        row.push_back(
+            Entry{layout_row.slack_column, Scalar(layout_row.slack_sign)});
       }
-      if (row.artificial_column >= 0) {
-        matrix_[i][row.artificial_column] = Scalar(1);
-        basis_[i] = row.artificial_column;
+      if (layout_row.artificial_column >= 0) {
+        row.push_back(Entry{layout_row.artificial_column, Scalar(1)});
+        basis_[i] = layout_row.artificial_column;
       } else {
-        basis_[i] = row.slack_column;
+        basis_[i] = layout_row.slack_column;
       }
-      if (!ScalarOps<Scalar>::FromRational(row.rhs, &rhs_[i])) {
+      basic_row_[basis_[i]] = static_cast<int>(i);
+      for (const Entry& entry : row) {
+        column_rows_[entry.column].push_back(static_cast<int>(i));
+      }
+      nonzeros_ += row.size();
+      listed_ += row.size();
+      if (!ScalarOps<Scalar>::FromRational(layout_row.rhs, &rhs_[i])) {
         ok_ = false;
         return;
       }
     }
+    // Charge what the tableau stores: the per-row and per-column arrays,
+    // its nonzeros and the column index. Fill-in raises the charge
+    // (ChargeStorage).
+    charged_bytes_ = StoredBytes();
+    charge_ = ScopedMemoryCharge(
+        guard_, m * kRowBytes + layout.num_columns * kColumnBytes +
+                    charged_bytes_);
   }
 
   // False when some input coefficient was not representable in `Scalar`.
@@ -271,11 +354,12 @@ class Tableau {
   // The carried columns are treated as a *candidate set*, not a row
   // assignment: each is pivoted into whichever not-yet-claimed row has a
   // nonzero entry for it (preferring rows whose current basic variable is
-  // an artificial, since evicting those is the whole point), and columns
-  // that have gone linearly dependent under the changed system are simply
-  // skipped. This makes pivot-in total: row counts may differ (redundant
-  // rows get dropped from exported bases), bases may be degenerate, and
-  // the order the previous solve happened to leave them in never matters.
+  // an artificial, since evicting those is the whole point; the lowest
+  // such row index wins), and columns that have gone linearly dependent
+  // under the changed system are simply skipped. This makes pivot-in
+  // total: row counts may differ (redundant rows get dropped from exported
+  // bases), bases may be degenerate, and the order the previous solve
+  // happened to leave them in never matters.
   //
   // A landing with a negative rhs entry is rejected. If any artificial is
   // still basic after a feasible landing the result is kPartial: the
@@ -292,38 +376,34 @@ class Tableau {
     if (CRSAT_FAILPOINT("lp/warm_start_reject")) {
       return WarmStartOutcome::kRejected;  // Injected shape mismatch.
     }
-    std::vector<bool> row_claimed(matrix_.size(), false);
+    std::vector<bool> row_claimed(rows_.size(), false);
     for (int column : warm.basis) {
       if (column < 0 || column >= layout_->num_with_slacks) {
         continue;  // Artificials are never adopted from a carry.
       }
       // Already basic (a slack that starts basic, or a duplicate): claim
       // its row so a later column does not evict it.
-      bool already_basic = false;
-      for (size_t i = 0; i < matrix_.size(); ++i) {
-        if (basis_[i] == column) {
-          row_claimed[i] = true;
-          already_basic = true;
-          break;
-        }
-      }
-      if (already_basic) {
+      if (basic_row_[column] >= 0) {
+        row_claimed[basic_row_[column]] = true;
         continue;
       }
-      int row = -1;
-      for (int prefer_artificial = 1; prefer_artificial >= 0 && row < 0;
-           --prefer_artificial) {
-        for (size_t i = 0; i < matrix_.size(); ++i) {
-          if (row_claimed[i] || matrix_[i][column].IsZero()) {
-            continue;
-          }
-          if (prefer_artificial == 1 && !IsArtificial(basis_[i])) {
-            continue;
-          }
-          row = static_cast<int>(i);
-          break;
+      int artificial_row = -1;
+      int any_row = -1;
+      GatherColumn(column);
+      for (const ColumnEntry& entry : column_entries_) {
+        const int i = entry.row;
+        if (row_claimed[i]) {
+          continue;
+        }
+        if (any_row < 0 || i < any_row) {
+          any_row = i;
+        }
+        if (IsArtificial(basis_[i]) &&
+            (artificial_row < 0 || i < artificial_row)) {
+          artificial_row = i;
         }
       }
+      const int row = artificial_row >= 0 ? artificial_row : any_row;
       if (row < 0) {
         continue;  // Dependent on the columns already placed; skip it.
       }
@@ -384,12 +464,11 @@ class Tableau {
   RunOutcome SolvePhase2(const std::vector<Scalar>& structural_costs) {
     // Once no artificial is basic, none can ever become basic again
     // (phase 2 bars them from entering), so their columns are dead
-    // weight: shrink every per-column sweep — pricing, the pivot row
-    // eliminations, the maintained reduced-cost row — to the structural
-    // and slack range. On big phase-2-heavy solves (the maximal-support
-    // cover LP) artificials are a fifth of the tableau width.
+    // weight: drop their entries so that pricing, the pivot-row
+    // eliminations and the maintained reduced-cost row cover only the
+    // structural and slack range.
     if (!AnyArtificialBasic()) {
-      live_columns_ = layout_->num_with_slacks;
+      DropArtificialColumns();
     }
     std::vector<Scalar> costs(layout_->num_columns, Scalar());
     for (int j = 0; j < layout_->num_structural; ++j) {
@@ -425,10 +504,44 @@ class Tableau {
   std::uint64_t phase1_pivots() const { return phase1_pivots_; }
 
  private:
+  // A nonzero of a row.
+  struct Entry {
+    int column;
+    Scalar value;
+  };
+  // A nonzero of a column.
+  struct ColumnEntry {
+    int row;
+    Scalar value;
+  };
+  struct PivotSlot {
+    std::uint64_t stamp = 0;
+    int position = 0;
+  };
+
+  // Guard-charged bytes per row and per column, beyond the nonzeros and
+  // the column index (StoredBytes).
+  static constexpr std::uint64_t kRowBytes = sizeof(std::vector<Entry>) +
+                                             sizeof(Scalar) + sizeof(int) +
+                                             sizeof(std::uint64_t);
+  static constexpr std::uint64_t kColumnBytes =
+      sizeof(std::vector<int>) + sizeof(Scalar) + sizeof(int) +
+      sizeof(PivotSlot) + sizeof(std::uint64_t);
+
   int first_artificial() const { return layout_->num_with_slacks; }
 
   bool IsArtificial(int column) const {
     return column >= layout_->num_with_slacks;
+  }
+
+  // The entry of `row` in `column`, or nullptr when it is zero.
+  const Entry* Find(int row, int column) const {
+    for (const Entry& entry : rows_[row]) {
+      if (entry.column == column) {
+        return &entry;
+      }
+    }
+    return nullptr;
   }
 
   Scalar ObjectiveValue(const std::vector<Scalar>& costs) const {
@@ -453,20 +566,15 @@ class Tableau {
     const int num_columns = live_columns_;
     // Initialize the maintained reduced-cost row:
     //   z_j = c_j - sum_i c_B(i) * T[i][j],
-    // which Pivot then updates in O(columns) like any other row.
-    reduced_.assign(num_columns, Scalar());
-    for (int j = 0; j < num_columns; ++j) {
-      reduced_[j] = costs[j];
-    }
+    // which Pivot then updates over the pivot row's nonzeros.
+    reduced_.assign(costs.begin(), costs.begin() + num_columns);
     for (size_t i = 0; i < basis_.size(); ++i) {
       const Scalar& basis_cost = costs[basis_[i]];
       if (basis_cost.IsZero()) {
         continue;
       }
-      for (int j = 0; j < num_columns; ++j) {
-        if (!matrix_[i][j].IsZero()) {
-          reduced_[j] -= basis_cost * matrix_[i][j];
-        }
+      for (const Entry& entry : rows_[i]) {
+        reduced_[entry.column] -= basis_cost * entry.value;
       }
     }
 
@@ -499,16 +607,21 @@ class Tableau {
       if (entering < 0) {
         return RunOutcome::kOptimal;
       }
+      // Ratio test over the rows with a nonzero in the entering column.
+      // Ties on the ratio go to the smaller basic column, so the winner
+      // does not depend on the order the column index lists rows in.
       int leaving_row = -1;
       Scalar best_ratio;
-      for (size_t i = 0; i < basis_.size(); ++i) {
-        if (!matrix_[i][entering].IsPositive()) {
+      GatherColumn(entering);
+      for (const ColumnEntry& entry : column_entries_) {
+        if (!entry.value.IsPositive()) {
           continue;
         }
-        Scalar ratio = rhs_[i] / matrix_[i][entering];
+        const int i = entry.row;
+        Scalar ratio = rhs_[i] / entry.value;
         if (leaving_row < 0 || ratio < best_ratio ||
             (ratio == best_ratio && basis_[i] < basis_[leaving_row])) {
-          leaving_row = static_cast<int>(i);
+          leaving_row = i;
           best_ratio = ratio;
         }
       }
@@ -527,55 +640,166 @@ class Tableau {
     }
   }
 
-  bool IsBasic(int column) const {
-    for (int b : basis_) {
-      if (b == column) {
-        return true;
+  // Collects the nonzeros of `column` into column_entries_ and drops the
+  // rows its index list names in vain (cancelled or repeated).
+  void GatherColumn(int column) {
+    ++gather_stamp_;
+    column_entries_.clear();
+    std::vector<int>& rows = column_rows_[column];
+    size_t kept = 0;
+    for (int i : rows) {
+      const Entry* entry = row_gathered_[i] != gather_stamp_ ? Find(i, column)
+                                                              : nullptr;
+      if (entry == nullptr) {
+        continue;
       }
+      row_gathered_[i] = gather_stamp_;
+      column_entries_.push_back(ColumnEntry{i, entry->value});
+      rows[kept++] = i;
     }
-    return false;
+    listed_ -= rows.size() - kept;
+    rows.resize(kept);
+    gathered_column_ = column;
   }
 
   void Pivot(int pivot_row, int pivot_column) {
-    const int num_columns = live_columns_;
-    Scalar pivot = matrix_[pivot_row][pivot_column];
-    for (int j = 0; j < num_columns; ++j) {
-      matrix_[pivot_row][j] /= pivot;
+    if (gathered_column_ != pivot_column) {
+      GatherColumn(pivot_column);
+    }
+    gathered_column_ = -1;  // Stale once the rows change below.
+    Scalar pivot;
+    for (const ColumnEntry& entry : column_entries_) {
+      if (entry.row == pivot_row) {
+        pivot = entry.value;
+        break;
+      }
+    }
+    for (Entry& entry : rows_[pivot_row]) {
+      entry.value /= pivot;
     }
     rhs_[pivot_row] /= pivot;
-    for (size_t i = 0; i < matrix_.size(); ++i) {
-      if (static_cast<int>(i) == pivot_row) {
-        continue;
-      }
-      Scalar factor = matrix_[i][pivot_column];
-      if (factor.IsZero()) {
-        continue;
-      }
-      for (int j = 0; j < num_columns; ++j) {
-        if (!matrix_[pivot_row][j].IsZero()) {
-          matrix_[i][j] -= factor * matrix_[pivot_row][j];
-        }
-      }
-      rhs_[i] -= factor * rhs_[pivot_row];
+    // Scatter the pivot row: column -> its position in the row.
+    ++pivot_stamp_;
+    const std::vector<Entry>& pivot_entries = rows_[pivot_row];
+    for (size_t k = 0; k < pivot_entries.size(); ++k) {
+      pivot_slot_[pivot_entries[k].column] =
+          PivotSlot{pivot_stamp_, static_cast<int>(k)};
     }
+    if (matched_.size() < pivot_entries.size()) {
+      matched_.resize(pivot_entries.size(), 0);
+    }
+    for (const ColumnEntry& entry : column_entries_) {
+      if (entry.row != pivot_row) {
+        EliminateRow(entry.row, pivot_row, pivot_column, entry.value);
+      }
+    }
+    // Afterwards only the pivot row holds the pivot column.
+    listed_ -= column_rows_[pivot_column].size() - 1;
+    column_rows_[pivot_column].assign(1, pivot_row);
     // The maintained reduced-cost row is eliminated like any other row
     // (only meaningful while RunSimplex is active; stale otherwise).
-    if (reduced_.size() == static_cast<size_t>(num_columns)) {
+    if (reduced_.size() == static_cast<size_t>(live_columns_)) {
       Scalar factor = reduced_[pivot_column];
       if (!factor.IsZero()) {
-        for (int j = 0; j < num_columns; ++j) {
-          if (!matrix_[pivot_row][j].IsZero()) {
-            reduced_[j] -= factor * matrix_[pivot_row][j];
-          }
+        for (const Entry& entry : rows_[pivot_row]) {
+          reduced_[entry.column] -= factor * entry.value;
         }
       }
     }
+    basic_row_[basis_[pivot_row]] = -1;
     basis_[pivot_row] = pivot_column;
+    basic_row_[pivot_column] = pivot_row;
+    if (listed_ > 4 * nonzeros_) {
+      RebuildIndex();
+    }
+    ChargeStorage();
+  }
+
+  // row[i] -= factor * row[pivot_row], with factor = row[i][pivot_column]
+  // and the pivot row scattered by Pivot. One pass updates the row's
+  // entries in place and drops those that cancel (the pivot row holds 1 in
+  // the pivot column, so that entry cancels without arithmetic); a second
+  // pass appends the fill-in and lists it in the column index.
+  void EliminateRow(int i, int pivot_row, int pivot_column,
+                    const Scalar factor) {
+    const std::vector<Entry>& pivot_entries = rows_[pivot_row];
+    std::vector<Entry>& entries = rows_[i];
+    ++row_stamp_;
+    size_t kept = 0;
+    for (size_t k = 0; k < entries.size(); ++k) {
+      Entry& entry = entries[k];
+      const int column = entry.column;
+      const PivotSlot& slot = pivot_slot_[column];
+      if (slot.stamp == pivot_stamp_) {
+        matched_[slot.position] = row_stamp_;
+        if (column == pivot_column) {
+          continue;
+        }
+        ScalarOps<Scalar>::SubtractProduct(
+            &entry.value, factor, pivot_entries[slot.position].value);
+        if (entry.value.IsZero()) {
+          continue;
+        }
+      }
+      if (kept != k) {
+        entries[kept] = std::move(entry);
+      }
+      ++kept;
+    }
+    nonzeros_ -= entries.size() - kept;
+    entries.erase(entries.begin() + kept, entries.end());
+    for (size_t k = 0; k < pivot_entries.size(); ++k) {
+      if (matched_[k] == row_stamp_) {
+        continue;
+      }
+      const Entry& pivot_entry = pivot_entries[k];
+      Scalar value;
+      ScalarOps<Scalar>::SubtractProduct(&value, factor, pivot_entry.value);
+      if (!value.IsZero()) {
+        entries.push_back(Entry{pivot_entry.column, std::move(value)});
+        column_rows_[pivot_entry.column].push_back(i);
+        ++nonzeros_;
+        ++listed_;
+      }
+    }
+    rhs_[i] -= factor * rhs_[pivot_row];
+  }
+
+  std::uint64_t StoredBytes() const {
+    return nonzeros_ * sizeof(Entry) + listed_ * sizeof(int);
+  }
+
+  // Raises the guard charge to the high-water mark of the stored nonzeros
+  // and column index.
+  void ChargeStorage() {
+    const std::uint64_t stored = StoredBytes();
+    if (stored > charged_bytes_) {
+      charge_.Add(stored - charged_bytes_);
+      charged_bytes_ = stored;
+    }
+  }
+
+  // Removes every artificial-column entry and narrows the live column
+  // range to the structural and slack columns.
+  void DropArtificialColumns() {
+    const int first = first_artificial();
+    for (std::vector<Entry>& entries : rows_) {
+      const size_t size = entries.size();
+      entries.erase(std::remove_if(entries.begin(), entries.end(),
+                                   [first](const Entry& entry) {
+                                     return entry.column >= first;
+                                   }),
+                    entries.end());
+      nonzeros_ -= size - entries.size();
+    }
+    RebuildIndex();
+    live_columns_ = first;
   }
 
   // After a successful phase 1, pivots any (necessarily degenerate)
-  // artificial variables out of the basis; rows that cannot be pivoted are
-  // redundant and are dropped.
+  // artificial variables out of the basis, entering the lowest-index
+  // nonbasic column with a nonzero in the row; rows that cannot be pivoted
+  // are redundant and are dropped.
   void EliminateArtificialsFromBasis() {
     for (size_t i = 0; i < basis_.size();) {
       if (!IsArtificial(basis_[i])) {
@@ -583,10 +807,11 @@ class Tableau {
         continue;
       }
       int pivot_column = -1;
-      for (int j = 0; j < layout_->num_with_slacks; ++j) {
-        if (!matrix_[i][j].IsZero() && !IsBasic(j)) {
-          pivot_column = j;
-          break;
+      for (const Entry& entry : rows_[i]) {
+        if (entry.column < layout_->num_with_slacks &&
+            basic_row_[entry.column] < 0 &&
+            (pivot_column < 0 || entry.column < pivot_column)) {
+          pivot_column = entry.column;
         }
       }
       if (pivot_column >= 0) {
@@ -594,26 +819,69 @@ class Tableau {
         ++i;
       } else {
         // Redundant constraint: remove the row.
-        matrix_.erase(matrix_.begin() + i);
+        nonzeros_ -= rows_[i].size();
+        rows_.erase(rows_.begin() + i);
         rhs_.erase(rhs_.begin() + i);
         basis_.erase(basis_.begin() + i);
+        RebuildIndex();
       }
+    }
+  }
+
+  // Recomputes the column index (dropping the rows it names in vain) and
+  // the basic-row map (rows shift when one is dropped).
+  void RebuildIndex() {
+    for (std::vector<int>& rows : column_rows_) {
+      rows.clear();
+    }
+    listed_ = nonzeros_;
+    gathered_column_ = -1;
+    std::fill(basic_row_.begin(), basic_row_.end(), -1);
+    for (size_t i = 0; i < rows_.size(); ++i) {
+      for (const Entry& entry : rows_[i]) {
+        column_rows_[entry.column].push_back(static_cast<int>(i));
+      }
+      basic_row_[basis_[i]] = static_cast<int>(i);
     }
   }
 
   const LinearSystem* system_;
   const TableauLayout* layout_;
   ResourceGuard* guard_ = nullptr;
-  // Upper bound of every per-column sweep; shrunk to num_with_slacks by
+  // Upper bound of every per-column sweep; narrowed to num_with_slacks by
   // SolvePhase2 once artificial columns can never be touched again.
   int live_columns_ = 0;
   bool ok_ = true;
   std::uint64_t pivots_ = 0;
   std::uint64_t phase1_pivots_ = 0;
-  std::vector<std::vector<Scalar>> matrix_;
+  std::vector<std::vector<Entry>> rows_;
   std::vector<Scalar> rhs_;
   std::vector<int> basis_;
+  // Column -> the row it is basic in, or -1.
+  std::vector<int> basic_row_;
+  // Column -> the rows holding a nonzero in it, unordered, possibly with
+  // cancelled or repeated rows (see the class comment).
+  std::vector<std::vector<int>> column_rows_;
   std::vector<Scalar> reduced_;
+  // Pivot scratch. Pivot scatters the pivot row: a column's slot holds its
+  // position in the pivot row while the slot's stamp equals pivot_stamp_.
+  // EliminateRow marks the pivot-row positions its row holds too:
+  // matched_[k] equals row_stamp_.
+  std::vector<PivotSlot> pivot_slot_;
+  std::vector<std::uint64_t> matched_;
+  std::uint64_t pivot_stamp_ = 0;
+  std::uint64_t row_stamp_ = 0;
+  // One column's nonzeros (GatherColumn), deduplicated through
+  // row_gathered_; gathered_column_ is -1 once a pivot made them stale.
+  std::vector<ColumnEntry> column_entries_;
+  std::vector<std::uint64_t> row_gathered_;
+  std::uint64_t gather_stamp_ = 0;
+  int gathered_column_ = -1;
+  std::uint64_t nonzeros_ = 0;
+  // Total length of the column index lists.
+  std::uint64_t listed_ = 0;
+  std::uint64_t charged_bytes_ = 0;
+  ScopedMemoryCharge charge_;
 };
 
 enum class TierOutcome { kCompleted, kOverflow, kTripped };
@@ -629,7 +897,8 @@ struct WarmDisposition {
 // Runs a full two-phase solve on one arithmetic tier. On kCompleted,
 // `*out` holds the verdict (values filled for kOptimal) and the pivot
 // out-params the tier's counts; on kOverflow the attempt's pivots are
-// still flushed to the global counters by the caller.
+// still flushed to the global counters by the caller. Tableau builds,
+// pivot-in, phase 1 and phase 2 add their wall time to `SimplexStats`.
 template <typename Scalar>
 TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
                         const std::vector<Rational>& structural_costs,
@@ -641,6 +910,7 @@ TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
   *tier_pivots = 0;
   *tier_phase1_pivots = 0;
   *warm = WarmDisposition();
+  SimplexStats& stats = GetSimplexStats();
 
   std::vector<Scalar> costs(structural_costs.size(), Scalar());
   for (size_t j = 0; j < structural_costs.size(); ++j) {
@@ -649,22 +919,27 @@ TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
     }
   }
 
-  // Charge the dominant allocation (the dense tableau matrix plus the
-  // maintained rows) against the guard's memory budget for the duration of
-  // this tier's attempt.
-  ScopedMemoryCharge tableau_charge(
-      options.guard, layout.rows.size() *
-                         (static_cast<std::uint64_t>(layout.num_columns) + 2) *
-                         sizeof(Scalar));
+  // The tableau charges what it stores against the guard's memory budget
+  // for the duration of this tier's attempt, and raises the charge as
+  // pivots fill it in.
+  PhaseTimer timer(stats.layout_ns);
   Tableau<Scalar> tableau(system, layout, options.guard);
   if (!tableau.ok()) {
     return TierOutcome::kOverflow;
   }
+  // Discards a tableau a pivot-in left mid-elimination.
+  auto rebuild = [&]() {
+    timer.Switch(stats.layout_ns);
+    ScalarOps<Scalar>::ClearOverflow();
+    tableau = Tableau<Scalar>(system, layout, options.guard);
+    return tableau.ok();
+  };
 
   bool skip_phase1 = false;
   bool tableau_adopted = false;  // Carried-basis pivots applied (not fresh).
   if (options.warm_start != nullptr && !options.warm_start->empty()) {
     warm->attempted = true;
+    timer.Switch(stats.pivot_in_ns);
     switch (tableau.TryWarmStart(*options.warm_start)) {
       case WarmStartOutcome::kFeasible:
         skip_phase1 = true;
@@ -682,9 +957,7 @@ TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
         // (and possibly overflowed); rebuild and run cold on this tier.
         // Rung 0 -> 1 of the degradation ladder (DESIGN.md §14).
         BumpStat(GetRecoveryStats().warm_start_fallbacks);
-        ScalarOps<Scalar>::ClearOverflow();
-        tableau = Tableau<Scalar>(system, layout, options.guard);
-        if (!tableau.ok()) {
+        if (!rebuild()) {
           return TierOutcome::kOverflow;
         }
         break;
@@ -699,6 +972,7 @@ TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
   // is a structural hint from the caller, not a carried basis.
   if (!skip_phase1 && !tableau_adopted && options.crash_vars != nullptr &&
       !options.crash_vars->empty()) {
+    timer.Switch(stats.pivot_in_ns);
     WarmStartBasis crash;
     crash.num_columns = layout.num_columns;
     crash.basis.reserve(options.crash_vars->size());
@@ -708,18 +982,15 @@ TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
     const WarmStartOutcome crashed = tableau.TryWarmStart(crash);
     if (crashed == WarmStartOutcome::kFeasible) {
       skip_phase1 = true;
-    } else if (crashed == WarmStartOutcome::kRejected) {
-      ScalarOps<Scalar>::ClearOverflow();
-      tableau = Tableau<Scalar>(system, layout, options.guard);
-      if (!tableau.ok()) {
-        return TierOutcome::kOverflow;
-      }
+    } else if (crashed == WarmStartOutcome::kRejected && !rebuild()) {
+      return TierOutcome::kOverflow;
     }
     // kPartial: rhs >= 0 with some artificial still basic — a valid (and
     // cheaper) phase-1 start; keep the tableau.
   }
 
   if (!skip_phase1) {
+    timer.Switch(stats.phase1_ns);
     Phase1Outcome phase1 = tableau.SolvePhase1();
     *tier_pivots = tableau.pivots();
     *tier_phase1_pivots = tableau.phase1_pivots();
@@ -735,6 +1006,7 @@ TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
     }
   }
 
+  timer.Switch(stats.phase2_ns);
   RunOutcome phase2 = tableau.SolvePhase2(costs);
   *tier_pivots = tableau.pivots();
   *tier_phase1_pivots = tableau.phase1_pivots();
@@ -757,6 +1029,11 @@ TierOutcome SolveOnTier(const LinearSystem& system, const TableauLayout& layout,
     tableau.ExportBasis(options.export_basis);
   }
   return TierOutcome::kCompleted;
+}
+
+TableauLayout BuildLayout(const LinearSystem& system, SimplexStats& stats) {
+  PhaseTimer timer(stats.layout_ns);
+  return TableauLayout(system);
 }
 
 // Records the completing tier's warm-start disposition: one hit or miss
@@ -795,7 +1072,7 @@ Result<LpResult> SolveWithImpl(const LinearSystem& system,
     effective.warm_start = nullptr;
   }
 
-  TableauLayout layout(system);
+  const TableauLayout layout = BuildLayout(system, stats);
 
   // Structural costs for minimization of +/- objective.
   std::vector<Rational> costs(layout.num_structural, Rational());

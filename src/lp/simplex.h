@@ -70,6 +70,17 @@ struct SimplexStats {
   std::atomic<std::uint64_t> dual_pivots{0};
   /// Always 0, read by perfbench until its next change.
   std::atomic<std::uint64_t> incremental_hits{0};
+  /// Wall time in nanoseconds, summed over solves (and over threads when
+  /// solves run concurrently), spent building the tableau layout and the
+  /// per-tier tableaus, ...
+  std::atomic<std::uint64_t> layout_ns{0};
+  /// ... pivoting carried and crash bases in, ...
+  std::atomic<std::uint64_t> pivot_in_ns{0};
+  /// ... in phase 1, ...
+  std::atomic<std::uint64_t> phase1_ns{0};
+  /// ... and in phase 2 plus value extraction. Timing varies run to run,
+  /// so these stay out of every deterministic output (`check --json`).
+  std::atomic<std::uint64_t> phase2_ns{0};
 
   /// Zeroes every counter.
   void Reset();
@@ -156,8 +167,9 @@ struct SimplexOptions {
   /// pivot. A tripped guard aborts the solve — including the exact-tier
   /// fallback — and `SolveWith` returns the guard's trip status
   /// (`kDeadlineExceeded` / `kResourceExhausted` / `kCancelled`).
-  /// Tableau storage is charged against the guard's memory budget for the
-  /// duration of the solve.
+  /// The tableau's stored nonzeros are charged against the guard's memory
+  /// budget for the duration of the solve, and the charge rises with
+  /// fill-in.
   ResourceGuard* guard = nullptr;
 };
 

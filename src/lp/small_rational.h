@@ -110,6 +110,23 @@ class SmallRational {
     return *this;
   }
 
+  /// `*this -= factor * value`, with the value and the overflow flag of
+  /// the two separate operations; all-integer operands take one 128-bit
+  /// step. The simplex's row eliminations are made of this operation.
+  void SubtractProduct(const SmallRational& factor,
+                       const SmallRational& value) {
+    if ((den_ | factor.den_ | value.den_) != 1) {
+      *this -= factor * value;
+      return;
+    }
+    const __int128 product = static_cast<__int128>(factor.num_) * value.num_;
+    if (product > kMaxInt64 || product < kMinInt64) {
+      tls_overflow_ = true;  // The product overflowed; `*this` is kept.
+      return;
+    }
+    *this = Make(num_ - product, 1);
+  }
+
   // Canonical representation makes equality componentwise; ordering uses
   // 128-bit cross products, which cannot overflow.
   bool operator==(const SmallRational& other) const {
@@ -137,13 +154,37 @@ class SmallRational {
     if (num == 0) {
       return SmallRational();
     }
-    unsigned __int128 magnitude = num < 0
-                                      ? static_cast<unsigned __int128>(-num)
-                                      : static_cast<unsigned __int128>(num);
-    const unsigned __int128 divisor_gcd =
-        Gcd128(magnitude, static_cast<unsigned __int128>(den));
-    num /= static_cast<__int128>(divisor_gcd);
-    den /= static_cast<__int128>(divisor_gcd);
+    if (den == 1) {
+      // Integers are already reduced: skip the gcd and the divisions.
+      if (num > kMaxInt64 || num < kMinInt64) {
+        tls_overflow_ = true;
+        return SmallRational();
+      }
+      SmallRational result;
+      result.num_ = static_cast<std::int64_t>(num);
+      return result;
+    }
+    const unsigned __int128 magnitude =
+        num < 0 ? static_cast<unsigned __int128>(-num)
+                : static_cast<unsigned __int128>(num);
+    if (magnitude <= kMaxUint64 && den <= static_cast<__int128>(kMaxUint64)) {
+      // Both parts fit 64 bits: reduce with 64-bit gcd and divisions.
+      std::uint64_t narrow_magnitude = static_cast<std::uint64_t>(magnitude);
+      std::uint64_t narrow_den = static_cast<std::uint64_t>(den);
+      const std::uint64_t divisor_gcd = std::gcd(narrow_magnitude, narrow_den);
+      if (divisor_gcd != 1) {
+        narrow_magnitude /= divisor_gcd;
+        narrow_den /= divisor_gcd;
+      }
+      num = num < 0 ? -static_cast<__int128>(narrow_magnitude)
+                    : static_cast<__int128>(narrow_magnitude);
+      den = narrow_den;
+    } else {
+      const unsigned __int128 divisor_gcd =
+          Gcd128(magnitude, static_cast<unsigned __int128>(den));
+      num /= static_cast<__int128>(divisor_gcd);
+      den /= static_cast<__int128>(divisor_gcd);
+    }
     if (num > kMaxInt64 || num < kMinInt64 || den > kMaxInt64) {
       tls_overflow_ = true;
       return SmallRational();  // Placeholder; caller must check the flag.

@@ -72,7 +72,10 @@ std::string AnalysisDigest(const Schema& schema, bool full) {
   Expansion expansion = Expansion::Build(schema).value();
   SatisfiabilityChecker checker(expansion);
   std::string digest;
-  for (bool flag : checker.SatisfiableClasses().value()) {
+  // Held in a local: a range-for over `value()` of the temporary Result
+  // would read it after its lifetime ended.
+  const std::vector<bool> classes = checker.SatisfiableClasses().value();
+  for (bool flag : classes) {
     digest += flag ? '1' : '0';
   }
   if (!full) {
@@ -337,6 +340,46 @@ TEST(SupportCoverTest, CoverLpMatchesProbeRoundsOnGeneratedSchemas) {
           << "seed " << seed << " var " << v;
     }
   }
+}
+
+// --- Pinned solver counts ---------------------------------------------------
+
+// bench_parallel's ISA chain: C0 <= ... <= C(depth-1), with cardinality
+// pressure on R.U at both ends of the chain.
+Schema IsaChain(int depth) {
+  SchemaBuilder builder;
+  for (int i = 0; i < depth; ++i) {
+    builder.AddClass("C" + std::to_string(i));
+  }
+  for (int i = 0; i + 1 < depth; ++i) {
+    builder.AddIsa("C" + std::to_string(i), "C" + std::to_string(i + 1));
+  }
+  builder.AddClass("T");
+  builder.AddRelationship(
+      "R", {{"U", "C" + std::to_string(depth - 1)}, {"V", "T"}});
+  builder.SetCardinality("C" + std::to_string(depth - 1), "R", "U", {1, 4});
+  builder.SetCardinality("C0", "R", "U", {2, 3});
+  builder.SetCardinality("T", "R", "V", {1, 1});
+  return builder.Build().value();
+}
+
+// The counts the dense-tableau kernel recorded for this report. The
+// pivot rule, the warm-start carry and the probe order fix them at any
+// thread count, so a kernel change that moves the pivot sequence fails
+// here.
+TEST(PinnedSimplexCountsTest, DepthFourChainReport) {
+  const int saved_threads = GlobalThreadCount();
+  const Schema schema = IsaChain(4);
+  for (int threads : {1, 2}) {
+    SetGlobalThreadCount(threads);
+    GetSimplexStats().Reset();
+    ASSERT_TRUE(BuildImpliedCardinalityReport(schema).ok());
+    const SimplexStats& stats = GetSimplexStats();
+    EXPECT_EQ(stats.solves.load(), 33u) << threads << " threads";
+    EXPECT_EQ(stats.pivots.load(), 3630u) << threads << " threads";
+    EXPECT_EQ(stats.warm_start_hits.load(), 10u) << threads << " threads";
+  }
+  SetGlobalThreadCount(saved_threads);
 }
 
 }  // namespace

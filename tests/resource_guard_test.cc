@@ -12,6 +12,7 @@
 #include "src/cr/schema_text.h"
 #include "src/cr/text_lexer.h"
 #include "src/expansion/expansion.h"
+#include "src/lp/homogeneous.h"
 #include "src/lp/linear_system.h"
 #include "src/lp/simplex.h"
 #include "src/reasoner/implication_engine.h"
@@ -199,6 +200,70 @@ TEST(ResourceGuardPipelineTest, SimplexTripsOnExpiredDeadline) {
       SimplexSolver::SolveWith(system, Expr({{x, 1}, {y, 1}}), true, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
+}
+
+// A homogeneous system of 16 sparse rows over 24 variables: the maximal
+// support's cover LP over it fills in as it pivots.
+LinearSystem SparseConeSystem() {
+  LinearSystem system;
+  for (int v = 0; v < 24; ++v) {
+    system.AddVariable("x" + std::to_string(v));
+  }
+  for (int r = 0; r < 16; ++r) {
+    LinearExpr expr;
+    expr.AddTerm(r, Rational(1 + r % 3));
+    expr.AddTerm((r + 5) % 24, Rational(-1));
+    expr.AddTerm((r + 11) % 24, Rational(r % 2 == 0 ? 2 : -2));
+    expr.AddTerm((r + 17) % 24, Rational(-1 - r % 2));
+    system.AddGe(std::move(expr));
+  }
+  return system;
+}
+
+Result<SupportResult> CoverUnderBudget(const LinearSystem& system,
+                                       std::uint64_t budget,
+                                       ResourceReport* report) {
+  ResourceLimits limits;
+  limits.max_memory_bytes = budget;
+  ResourceGuard guard(limits);
+  Result<SupportResult> support = ComputeMaximalSupport(
+      system, std::vector<bool>(system.num_variables(), false),
+      /*basis_cache=*/nullptr, &guard);
+  *report = guard.report();
+  return support;
+}
+
+TEST(ResourceGuardPipelineTest, SimplexMemoryBudgetBoundsTheCoverLp) {
+  const LinearSystem system = SparseConeSystem();
+  ResourceReport generous;
+  Result<SupportResult> solved =
+      CoverUnderBudget(system, std::uint64_t{1} << 30, &generous);
+  ASSERT_TRUE(solved.ok()) << solved.status();
+  EXPECT_EQ(generous.tripped, ResourceLimitKind::kNone);
+  // The cover LP has 16 + 24 rows over 48 structural, 40 slack and 24
+  // artificial columns. The charge is what the sparse tableau stores,
+  // well below a dense tableau of that shape.
+  const std::uint64_t dense_bytes = 40 * (112 + 2) * 16;
+  EXPECT_GT(generous.peak_memory_bytes, 0u);
+  EXPECT_LT(generous.peak_memory_bytes, dense_bytes);
+
+  // A budget below the stored size trips at the first pivot check.
+  ResourceReport tiny;
+  Result<SupportResult> refused = CoverUnderBudget(system, 1024, &tiny);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(tiny.tripped, ResourceLimitKind::kMemory);
+  EXPECT_EQ(tiny.site.rfind("simplex/", 0), 0u) << tiny.site;
+
+  // One byte below the peak trips too, but only once fill-in has raised
+  // the charge past what the freshly built tableau stored.
+  ResourceReport late;
+  Result<SupportResult> filled =
+      CoverUnderBudget(system, generous.peak_memory_bytes - 1, &late);
+  ASSERT_FALSE(filled.ok());
+  EXPECT_EQ(filled.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(late.site.rfind("simplex/", 0), 0u) << late.site;
+  EXPECT_GT(late.checks, tiny.checks);
 }
 
 TEST(ResourceGuardPipelineTest, SatisfiabilityReportsTripFromSharedGuard) {

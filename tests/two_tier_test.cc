@@ -3,7 +3,9 @@
 // `SimplexStats` counters.
 
 #include <cstdint>
+#include <iterator>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -77,24 +79,80 @@ TEST(SmallRationalTest, NearOverflowAdditionFlagsExactly) {
   EXPECT_FALSE(SmallRational::OverflowSeen());
 }
 
+TEST(SmallRationalTest, SubtractProductMatchesTwoSeparateSteps) {
+  const SmallRational values[] = {
+      SmallRational(0),
+      SmallRational(1),
+      SmallRational(-1),
+      SmallRational(3),
+      SmallRational(INT64_MAX),
+      SmallRational(INT64_MIN),
+      SmallRational(INT64_MAX / 2),
+      SmallRational::FromReduced(1, 2),
+      SmallRational::FromReduced(-7, 3),
+      SmallRational::FromReduced(INT64_MAX, 6),
+  };
+  for (const SmallRational& a : values) {
+    for (const SmallRational& factor : values) {
+      for (const SmallRational& b : values) {
+        SmallRational::ClearOverflow();
+        SmallRational two_steps = a;
+        two_steps -= factor * b;
+        const bool two_steps_overflowed = SmallRational::OverflowSeen();
+        SmallRational::ClearOverflow();
+        SmallRational fused = a;
+        fused.SubtractProduct(factor, b);
+        EXPECT_EQ(SmallRational::OverflowSeen(), two_steps_overflowed);
+        EXPECT_EQ(fused, two_steps);
+      }
+    }
+  }
+  SmallRational::ClearOverflow();
+}
+
 // --- Cross-tier equivalence -------------------------------------------
+
+// Optional features of a random system, each a case the sparse tableau
+// layout must get right.
+struct SystemShape {
+  // Every odd variable is free, so it occupies a split column pair.
+  bool free_variables = false;
+  // Every row also adds explicit zero and cancelling terms.
+  bool zero_terms = false;
+  // Two extra `==` rows, the second twice the first: phase 1 leaves an
+  // artificial basic in one of them and drops it as redundant.
+  bool redundant_row = false;
+};
+
+LinearExpr RandomExpr(std::mt19937* rng, int num_vars,
+                      const SystemShape& shape) {
+  std::uniform_int_distribution<int> coeff(-4, 4);
+  std::uniform_int_distribution<int> rhs(-6, 6);
+  LinearExpr expr;
+  for (int v = 0; v < num_vars; ++v) {
+    expr.AddTerm(v, Rational(coeff(*rng)));
+  }
+  if (shape.zero_terms) {
+    expr.AddTerm(0, Rational(0));
+    expr.AddTerm(num_vars - 1, Rational(3));
+    expr.AddTerm(num_vars - 1, Rational(-3));
+  }
+  expr.AddConstant(Rational(rhs(*rng)));
+  return expr;
+}
 
 // Generates a random system with small integer coefficients. Feasible and
 // infeasible instances both occur.
-LinearSystem RandomSystem(std::mt19937* rng, int num_vars, int num_rows) {
-  std::uniform_int_distribution<int> coeff(-4, 4);
-  std::uniform_int_distribution<int> rhs(-6, 6);
+LinearSystem RandomSystem(std::mt19937* rng, int num_vars, int num_rows,
+                          const SystemShape& shape = SystemShape()) {
   std::uniform_int_distribution<int> sense(0, 2);
   LinearSystem system;
   for (int v = 0; v < num_vars; ++v) {
-    system.AddVariable("x" + std::to_string(v));
+    system.AddVariable("x" + std::to_string(v),
+                       /*nonnegative=*/!(shape.free_variables && v % 2 == 1));
   }
   for (int r = 0; r < num_rows; ++r) {
-    LinearExpr expr;
-    for (int v = 0; v < num_vars; ++v) {
-      expr.AddTerm(v, Rational(coeff(*rng)));
-    }
-    expr.AddConstant(Rational(rhs(*rng)));
+    LinearExpr expr = RandomExpr(rng, num_vars, shape);
     switch (sense(*rng)) {
       case 0:
         system.AddLe(std::move(expr));
@@ -107,44 +165,112 @@ LinearSystem RandomSystem(std::mt19937* rng, int num_vars, int num_rows) {
         break;
     }
   }
+  if (shape.redundant_row) {
+    LinearExpr expr = RandomExpr(rng, num_vars, shape);
+    system.AddEq(expr * Rational(2));
+    system.AddEq(std::move(expr));
+  }
   return system;
+}
+
+// What one solve did: its result, its pivot counts and its final basis.
+struct SolveTrace {
+  LpResult result;
+  std::uint64_t pivots = 0;
+  std::uint64_t phase1_pivots = 0;
+  std::uint64_t tier_fallbacks = 0;
+  WarmStartBasis basis;
+};
+
+SolveTrace TraceSolve(const LinearSystem& system, const LinearExpr& objective,
+                      SimplexOptions::Tier tier,
+                      const std::vector<VarId>* crash_vars) {
+  SolveTrace trace;
+  SimplexOptions options;
+  options.tier = tier;
+  options.crash_vars = crash_vars;
+  options.export_basis = &trace.basis;
+  SimplexStats& stats = GetSimplexStats();
+  stats.Reset();
+  trace.result =
+      SimplexSolver::SolveWith(system, objective, /*maximize=*/false, options)
+          .value();
+  trace.pivots = stats.pivots.load();
+  trace.phase1_pivots = stats.phase1_pivots.load();
+  trace.tier_fallbacks = stats.tier_fallbacks.load();
+  return trace;
+}
+
+// Both tiers run one kernel, so short of an overflow fallback they take
+// the same pivots and end on the same basis.
+void ExpectTiersAgree(const LinearSystem& system, const LinearExpr& objective,
+                      const std::vector<VarId>* crash_vars,
+                      const std::string& where) {
+  const SolveTrace fast = TraceSolve(
+      system, objective, SimplexOptions::Tier::kTwoTier, crash_vars);
+  const SolveTrace exact = TraceSolve(
+      system, objective, SimplexOptions::Tier::kExactOnly, crash_vars);
+  ASSERT_EQ(fast.tier_fallbacks, 0u) << where;
+  ASSERT_EQ(fast.result.outcome, exact.result.outcome) << where;
+  EXPECT_EQ(fast.pivots, exact.pivots) << where;
+  EXPECT_EQ(fast.phase1_pivots, exact.phase1_pivots) << where;
+  EXPECT_EQ(fast.basis.basis, exact.basis.basis) << where;
+  EXPECT_EQ(fast.basis.num_columns, exact.basis.num_columns) << where;
+  if (fast.result.outcome == LpOutcome::kOptimal) {
+    EXPECT_EQ(fast.result.objective, exact.result.objective) << where;
+    EXPECT_EQ(fast.result.values, exact.result.values) << where;
+  }
 }
 
 class TwoTierPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(TwoTierPropertyTest, TiersAgreeOnRandomSystems) {
   std::mt19937 rng(static_cast<unsigned>(GetParam()));
+  SystemShape free_variables;
+  free_variables.free_variables = true;
+  SystemShape zero_terms;
+  zero_terms.zero_terms = true;
+  SystemShape redundant_row;
+  redundant_row.redundant_row = true;
+  const SystemShape shapes[] = {SystemShape(), free_variables, zero_terms,
+                                redundant_row};
+  const std::vector<VarId> crash = {0, 2};
   for (int instance = 0; instance < 40; ++instance) {
-    LinearSystem system = RandomSystem(&rng, 4, 5);
-    LinearExpr objective;
-    for (int v = 0; v < 4; ++v) {
-      objective.AddTerm(v, Rational((instance + v) % 3 - 1));
-    }
-    SimplexOptions two_tier;
-    two_tier.tier = SimplexOptions::Tier::kTwoTier;
-    SimplexOptions exact;
-    exact.tier = SimplexOptions::Tier::kExactOnly;
-    LpResult fast =
-        SimplexSolver::SolveWith(system, objective, /*maximize=*/false,
-                                 two_tier)
-            .value();
-    LpResult reference =
-        SimplexSolver::SolveWith(system, objective, /*maximize=*/false, exact)
-            .value();
-    ASSERT_EQ(fast.outcome, reference.outcome) << "instance " << instance;
-    if (fast.outcome == LpOutcome::kOptimal) {
-      // Objective values must agree exactly; both tiers are exact. (The
-      // argmin vertex is also identical because the fast tier performs the
-      // same pivot sequence, but the objective is the contract.)
-      EXPECT_EQ(fast.objective, reference.objective) << "instance "
-                                                     << instance;
-      EXPECT_EQ(fast.values, reference.values) << "instance " << instance;
+    for (size_t s = 0; s < std::size(shapes); ++s) {
+      LinearSystem system = RandomSystem(&rng, 4, 5, shapes[s]);
+      LinearExpr objective;
+      for (int v = 0; v < 4; ++v) {
+        objective.AddTerm(v, Rational((instance + v) % 3 - 1));
+      }
+      const std::string where =
+          "instance " + std::to_string(instance) + " shape " +
+          std::to_string(s);
+      ExpectTiersAgree(system, objective, nullptr, where);
+      ExpectTiersAgree(system, objective, &crash, where + " crash");
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TwoTierPropertyTest,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+TEST(TwoTierTest, RedundantRowIsDroppedOnBothTiers) {
+  // x + y == 2 and 2x + 2y == 4: after phase 1 one artificial stays basic
+  // in a row with no other nonzero, so the row is dropped and the
+  // exported basis covers one row of two.
+  LinearSystem system;
+  VarId x = system.AddVariable("x");
+  VarId y = system.AddVariable("y");
+  system.AddEq(Expr({{x, 1}, {y, 1}}, -2));
+  system.AddEq(Expr({{x, 2}, {y, 2}}, -4));
+  const LinearExpr objective = Expr({{x, 1}});
+  const SolveTrace fast =
+      TraceSolve(system, objective, SimplexOptions::Tier::kTwoTier, nullptr);
+  ASSERT_EQ(fast.result.outcome, LpOutcome::kOptimal);
+  EXPECT_EQ(fast.result.values, (std::vector<Rational>{0, 2}));
+  EXPECT_EQ(fast.basis.basis.size(), 1u);
+  ExpectTiersAgree(system, objective, nullptr, "redundant pair");
+}
 
 TEST(TwoTierTest, BigCoefficientsFallBackAndStayExact) {
   // Coefficients chosen so fast-tier pivoting overflows: products of
