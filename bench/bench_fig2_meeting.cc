@@ -103,8 +103,9 @@ int main() {
   }
 
   crsat::ClassId speaker = schema.FindClass("Speaker").value();
+  crsat::WitnessSynthesizer synthesizer(checker);
   crsat::Interpretation model =
-      crsat::ModelBuilder::BuildModelForClass(checker, speaker).value();
+      synthesizer.Synthesize().value().TakeInterpretation();
   std::cout << "\nDerived finite model (paper's model has John, Mary and "
                "two talks):\n"
             << model.ToString();

@@ -92,7 +92,6 @@ struct StatsSnapshot {
   std::uint64_t dominance_hits = 0;
   std::uint64_t derived_disjoint_pairs = 0;
   std::uint64_t pruned_subtrees = 0;
-  std::uint64_t ln_short_circuits = 0;
 
   static StatsSnapshot Take() {
     const crsat::SimplexStats& stats = crsat::GetSimplexStats();
@@ -116,8 +115,6 @@ struct StatsSnapshot {
     snapshot.derived_disjoint_pairs =
         crsat::GetExpansionStats().derived_disjoint_pairs.load();
     snapshot.pruned_subtrees = crsat::GetExpansionStats().pruned_subtrees.load();
-    snapshot.ln_short_circuits =
-        crsat::GetFastPathStats().ln_short_circuits.load();
     return snapshot;
   }
 
@@ -125,7 +122,6 @@ struct StatsSnapshot {
     crsat::GetSimplexStats().Reset();
     crsat::GetImplicationStats().Reset();
     crsat::GetExpansionStats().Reset();
-    crsat::GetFastPathStats().Reset();
   }
 };
 
@@ -259,8 +255,7 @@ std::string ToJson(const std::vector<Workload>& workloads,
           << ", \"dominance_lookups\": " << stats.dominance_lookups
           << ", \"dominance_hits\": " << stats.dominance_hits
           << ", \"derived_disjoint_pairs\": " << stats.derived_disjoint_pairs
-          << ", \"pruned_subtrees\": " << stats.pruned_subtrees
-          << ", \"ln_short_circuits\": " << stats.ln_short_circuits << "}"
+          << ", \"pruned_subtrees\": " << stats.pruned_subtrees << "}"
           << (t + 1 < workload.timings.size() ? "," : "") << "\n";
     }
     out << "      ]\n    }" << (w + 1 < workloads.size() ? "," : "") << "\n";

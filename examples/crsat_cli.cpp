@@ -260,7 +260,6 @@ void ResetAllStats() {
   crsat::GetSimplexStats().Reset();
   crsat::GetImplicationStats().Reset();
   crsat::GetExpansionStats().Reset();
-  crsat::GetFastPathStats().Reset();
   crsat::GetRecoveryStats().Reset();
   crsat::ResetFailpointCounters();
 }
@@ -348,13 +347,27 @@ int RunModel(const crsat::Schema& schema, const std::string& class_name) {
     return EXIT_FAILURE;
   }
   crsat::SatisfiabilityChecker checker(*expansion);
-  crsat::Result<crsat::Interpretation> model =
-      crsat::ModelBuilder::BuildModelForClass(checker, *cls);
-  if (!model.ok()) {
-    std::cerr << model.status() << "\n";
+  crsat::Result<bool> satisfiable = checker.IsClassSatisfiable(*cls);
+  if (!satisfiable.ok()) {
+    std::cerr << satisfiable.status() << "\n";
     return EXIT_FAILURE;
   }
-  std::cout << model->ToString();
+  if (!*satisfiable) {
+    std::cerr << crsat::InvalidArgumentError(
+                     "class '" + schema.ClassName(*cls) +
+                     "' is unsatisfiable; no model can populate it")
+              << "\n";
+    return EXIT_FAILURE;
+  }
+  // One certified model realizes the whole maximal support, so it
+  // populates every satisfiable class, this one included.
+  crsat::WitnessSynthesizer synthesizer(checker);
+  crsat::Result<crsat::CertifiedWitness> witness = synthesizer.Synthesize();
+  if (!witness.ok()) {
+    std::cerr << witness.status() << "\n";
+    return EXIT_FAILURE;
+  }
+  std::cout << witness->interpretation().ToString();
   return EXIT_SUCCESS;
 }
 

@@ -6,20 +6,13 @@ namespace crsat {
 
 namespace {
 
-// The policy decomposed into lock-free cells so hot paths (SolveWith,
-// AssignTuples, IncrementalReasoningEnabled) can read one field without
-// a mutex.
+// The policy as a lock-free cell, so the hot path
+// (IncrementalReasoningEnabled) reads it without a mutex.
 std::atomic<int> g_allow_incremental{1};
-std::atomic<int> g_allow_fast_tier{1};
-std::atomic<int> g_max_witness_rescales{8};
 
 void StorePolicy(const DegradationPolicy& policy) {
   g_allow_incremental.store(policy.allow_incremental ? 1 : 0,
                             std::memory_order_release);
-  g_allow_fast_tier.store(policy.allow_fast_tier ? 1 : 0,
-                          std::memory_order_release);
-  g_max_witness_rescales.store(policy.max_witness_rescales,
-                               std::memory_order_release);
 }
 
 }  // namespace
@@ -28,10 +21,6 @@ DegradationPolicy GetDegradationPolicy() {
   DegradationPolicy policy;
   policy.allow_incremental =
       g_allow_incremental.load(std::memory_order_acquire) != 0;
-  policy.allow_fast_tier =
-      g_allow_fast_tier.load(std::memory_order_acquire) != 0;
-  policy.max_witness_rescales =
-      g_max_witness_rescales.load(std::memory_order_acquire);
   return policy;
 }
 

@@ -16,6 +16,13 @@ namespace crsat {
 ///   rung 2  exact tier    Rational re-solve after SmallRational overflow
 ///   rung 3  UNKNOWN       honest resource-status refusal, never a guess
 ///
+/// Each rung has one switch. Rung 0 -> 1 is `allow_incremental` below,
+/// or the `incremental/force_cold` failpoint. Rung 1 -> 2 is per solve:
+/// `SimplexOptions::tier = kExactOnly` (src/lp/simplex.h), or the
+/// `lp/fast_tier_overflow` failpoint. Witness tuple assignment doubles
+/// its scale at most a fixed 8 times (src/witness/tuple_assignment.cc);
+/// `witness/force_rescale` exhausts that budget.
+///
 /// Dropping a rung must never change a verdict — only cost — and running
 /// out of rungs must surface as a resource-limit `Status`
 /// (`IsResourceLimitStatus`), which the CLI maps to exit code 3 and the
@@ -24,20 +31,12 @@ namespace crsat {
 /// fault schedules every verdict either matches the fault-free run or is
 /// such an UNKNOWN, never a flip.
 
-/// Bounds on how hard each rung retries before dropping to the next.
-/// The defaults match the historical hard-coded values; tests and the
-/// future crsatd admission controller tighten them per request.
+/// The process-wide degradation policy.
 struct DegradationPolicy {
   /// Rung 0 permitted (warm starts, memoization, pruning, the LN
   /// short-circuit). The only switch for the incremental fast paths:
   /// every layer asks `IncrementalReasoningEnabled()`, which reads it.
   bool allow_incremental = true;
-  /// Rung 1 -> 2: permit the overflow-checked int64 SmallRational tier.
-  /// When false, every solve starts on exact Rational arithmetic.
-  bool allow_fast_tier = true;
-  /// Rung 2 retry budget for witness construction: how many doublings of
-  /// the scale factor tuple assignment may try before refusing.
-  int max_witness_rescales = 8;
 };
 
 /// Process-wide policy. Reads are lock-free; see ScopedDegradationPolicy
@@ -65,8 +64,8 @@ class ScopedDegradationPolicy {
 /// warm-start bases (src/lp/simplex.cc), the one-LP support cover
 /// (src/lp/homogeneous.cc), bound-dominance memoization
 /// (src/reasoner/implication_engine.h), declared-bound expansion pruning
-/// (src/expansion/expansion.cc) and the Lenzerini–Nobili ISA-free
-/// short-circuit (src/baseline/fast_path.h).
+/// (src/expansion/expansion.cc) and the Lenzerini–Nobili route for
+/// ISA-free schemas (`command::DecideClasses`, src/command/command.h).
 ///
 /// False when the policy's `allow_incremental` is off or the
 /// `incremental/force_cold` failpoint fires (checked first, so the chaos

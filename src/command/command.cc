@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -12,7 +13,7 @@
 #include "src/base/degradation.h"
 #include "src/base/string_util.h"
 #include "src/base/thread_pool.h"
-#include "src/baseline/fast_path.h"
+#include "src/baseline/ln_reasoner.h"
 #include "src/expansion/expansion.h"
 #include "src/lp/simplex.h"
 #include "src/reasoner/implication.h"
@@ -80,8 +81,7 @@ std::string SimplexStatsJson() {
          ", \"derived_disjoint_pairs\": " +
          Load(GetExpansionStats().derived_disjoint_pairs) +
          ", \"pruned_subtrees\": " + Load(GetExpansionStats().pruned_subtrees) +
-         ", \"ln_short_circuits\": " +
-         Load(GetFastPathStats().ln_short_circuits) + "}";
+         "}";
 }
 
 // Degradation-ladder transitions (src/base/degradation.h) as a JSON
@@ -108,50 +108,55 @@ Result<ClassId> ResolveClass(const Schema& schema, const std::string& name) {
   return *cls;
 }
 
+Result<ClassVerdicts> DecideClasses(const Schema& schema,
+                                    ResourceGuard* guard,
+                                    bool allow_ln_route) {
+  ClassVerdicts verdicts;
+  if (allow_ln_route && IncrementalReasoningEnabled()) {
+    Result<LnReasoner> baseline = LnReasoner::Create(schema);
+    if (baseline.ok()) {
+      CRSAT_ASSIGN_OR_RETURN(verdicts.satisfiable,
+                             baseline->SatisfiableClasses());
+      return verdicts;
+    }
+    // InvalidArgument: outside the fragment, so the full pipeline runs.
+    if (baseline.status().code() != StatusCode::kInvalidArgument) {
+      return baseline.status();
+    }
+  }
+  // Structural emptiness facts feed both the expansion's compound pruning
+  // and the checker's per-class short-circuit.
+  std::vector<bool> known_empty = ComputeProvablyEmpty(schema).class_empty;
+  ExpansionOptions options;
+  options.guard = guard;
+  options.known_empty_classes = &known_empty;
+  CRSAT_ASSIGN_OR_RETURN(Expansion expansion,
+                         Expansion::Build(schema, options));
+  verdicts.expansion = std::make_unique<Expansion>(std::move(expansion));
+  verdicts.checker =
+      std::make_unique<SatisfiabilityChecker>(*verdicts.expansion);
+  verdicts.checker->SetKnownEmptyClasses(std::move(known_empty));
+  CRSAT_ASSIGN_OR_RETURN(verdicts.satisfiable,
+                         verdicts.checker->SatisfiableClasses());
+  return verdicts;
+}
+
 CommandResult Check(const NamedSchema& parsed, bool json,
                     const std::string& witness_mode, ResourceGuard* guard) {
   const Schema& schema = parsed.schema;
-  // ISA-free schemas skip the expansion pipeline entirely: the
-  // Lenzerini-Nobili baseline computes the same verdicts with one unknown
-  // per class. Witness synthesis needs the full checker, so the fast path
-  // only applies to plain checks.
-  std::optional<std::vector<bool>> satisfiable;
-  if (witness_mode.empty()) {
-    Result<std::optional<std::vector<bool>>> fast =
-        TryLnSatisfiableClasses(schema);
-    if (!fast.ok()) {
-      return Fail(kExitFindings, fast.status());
-    }
-    satisfiable = std::move(fast.value());
+  // Witness synthesis needs the checker, so only a plain check may take
+  // the Lenzerini–Nobili route.
+  Result<ClassVerdicts> decided =
+      DecideClasses(schema, guard, /*allow_ln_route=*/witness_mode.empty());
+  if (!decided.ok()) {
+    return FailStage(decided.status(), guard, json);
   }
-  std::optional<Expansion> expansion;
-  std::optional<SatisfiabilityChecker> checker;
-  // Structural emptiness facts feed both the expansion's compound pruning
-  // and the checker's per-class short-circuit.
-  std::vector<bool> known_empty;
-  if (!satisfiable.has_value()) {
-    known_empty = ComputeProvablyEmpty(schema).class_empty;
-    ExpansionOptions options;
-    options.guard = guard;
-    options.known_empty_classes = &known_empty;
-    Result<Expansion> built = Expansion::Build(schema, options);
-    if (!built.ok()) {
-      return FailStage(built.status(), guard, json);
-    }
-    expansion.emplace(std::move(built.value()));
-    checker.emplace(*expansion);
-    checker->SetKnownEmptyClasses(known_empty);
-    Result<std::vector<bool>> verdicts = checker->SatisfiableClasses();
-    if (!verdicts.ok()) {
-      return FailStage(verdicts.status(), guard, json);
-    }
-    satisfiable.emplace(std::move(verdicts.value()));
-  }
+  const std::vector<bool>& satisfiable = decided->satisfiable;
   bool all_ok = true;
   bool any_satisfiable = false;
   for (ClassId cls : schema.AllClasses()) {
-    all_ok = all_ok && (*satisfiable)[cls.value];
-    any_satisfiable = any_satisfiable || (*satisfiable)[cls.value];
+    all_ok = all_ok && satisfiable[cls.value];
+    any_satisfiable = any_satisfiable || satisfiable[cls.value];
   }
   const int exit_code = all_ok ? kExitOk : kExitFindings;
 
@@ -159,7 +164,7 @@ CommandResult Check(const NamedSchema& parsed, bool json,
   bool witness_downgraded = false;
   std::string witness_failure;
   if (!witness_mode.empty() && any_satisfiable) {
-    WitnessSynthesizer synthesizer(*checker);
+    WitnessSynthesizer synthesizer(*decided->checker);
     WitnessOptions witness_options;
     witness_options.guard = guard;
     witness_options.source_map = &parsed.source_map;
@@ -191,7 +196,7 @@ CommandResult Check(const NamedSchema& parsed, bool json,
       first = false;
       out << "    {\"name\": \"" << JsonEscape(schema.ClassName(cls))
           << "\", \"satisfiable\": "
-          << ((*satisfiable)[cls.value] ? "true" : "false") << "}";
+          << (satisfiable[cls.value] ? "true" : "false") << "}";
     }
     out << "\n  ],\n  \"strongly_satisfiable\": "
         << (all_ok ? "true" : "false") << ",\n  \"stats\": "
@@ -215,8 +220,8 @@ CommandResult Check(const NamedSchema& parsed, bool json,
     return {exit_code, std::move(out).str(), ""};
   }
   for (ClassId cls : schema.AllClasses()) {
-    out << ((*satisfiable)[cls.value] ? "  satisfiable    "
-                                      : "  UNSATISFIABLE  ")
+    out << (satisfiable[cls.value] ? "  satisfiable    "
+                                   : "  UNSATISFIABLE  ")
         << schema.ClassName(cls) << "\n";
   }
   out << (all_ok ? "schema is strongly satisfiable"

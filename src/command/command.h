@@ -1,6 +1,7 @@
 #ifndef CRSAT_COMMAND_COMMAND_H_
 #define CRSAT_COMMAND_COMMAND_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -9,6 +10,8 @@
 #include "src/cr/ids.h"
 #include "src/cr/schema.h"
 #include "src/cr/schema_text.h"
+#include "src/expansion/expansion.h"
+#include "src/reasoner/satisfiability.h"
 
 namespace crsat {
 namespace command {
@@ -33,6 +36,36 @@ struct CommandResult {
   std::string out;
   std::string err;
 };
+
+/// The verdicts of `DecideClasses`. When the expansion decided them, the
+/// expansion and checker that did so come along (heap-held so the
+/// checker's reference to the expansion survives moves), and witness
+/// synthesis reuses the checker's cached support. Both are null when the
+/// Lenzerini–Nobili route decided.
+struct ClassVerdicts {
+  std::unique_ptr<Expansion> expansion;
+  std::unique_ptr<SatisfiabilityChecker> checker;
+  /// One flag per schema class, indexed by ClassId.
+  std::vector<bool> satisfiable;
+};
+
+/// The one verdict function. With `allow_ln_route` set and
+/// `IncrementalReasoningEnabled()`, a schema inside the Lenzerini–Nobili
+/// fragment (no ISA, refinements or Section 5 extensions; see
+/// src/baseline/ln_reasoner.h) is decided by that baseline, with one
+/// unknown per class. On such a schema the expansion still enumerates
+/// every subset of classes as a compound class, so this route is the only
+/// one that finishes on large ISA-free inputs; the conformance harness
+/// checks that both give the same verdicts. Every other schema, and every
+/// caller that needs the checker (witness synthesis) or referees the
+/// expansion, takes the full pipeline: provably-empty facts
+/// (src/analysis/empty_classes.h) feed the expansion's compound pruning
+/// and the checker's per-class short-circuit, then one support computation
+/// decides every class. `guard` may be null (unlimited); it travels with
+/// the expansion into every layer downstream.
+Result<ClassVerdicts> DecideClasses(const Schema& schema,
+                                    ResourceGuard* guard,
+                                    bool allow_ln_route);
 
 /// `crsat_cli check`: satisfiability of every class (§3: expansion, the
 /// system Ψ_S, acceptable support). `witness_mode` is "" (off), "text",

@@ -16,8 +16,10 @@
 ///       crsat::Expansion::Build(parsed->schema);
 ///   crsat::SatisfiabilityChecker checker(*expansion);
 ///   crsat::Result<bool> ok = checker.IsClassSatisfiable(cls);
-///   crsat::Result<crsat::Interpretation> model =
-///       crsat::ModelBuilder::BuildModelForClass(checker, cls);
+///   crsat::WitnessSynthesizer synthesizer(checker);
+///   crsat::Result<crsat::CertifiedWitness> witness =
+///       synthesizer.Synthesize();  // One certified model for every
+///                                  // satisfiable class at once.
 ///
 /// Implication queries live in `ImplicationChecker`, schema debugging in
 /// `MinimizeUnsatCore`, and the ISA-free Lenzerini-Nobili baseline in
@@ -40,7 +42,6 @@
 #include "src/base/result.h"
 #include "src/base/status.h"
 #include "src/base/thread_pool.h"
-#include "src/baseline/fast_path.h"
 #include "src/baseline/ln_reasoner.h"
 #include "src/cr/interpretation.h"
 #include "src/cr/model_checker.h"
@@ -62,7 +63,6 @@
 #include "src/oracle/schema_parts.h"
 #include "src/reasoner/implication.h"
 #include "src/reasoner/implication_engine.h"
-#include "src/reasoner/model_builder.h"
 #include "src/reasoner/repair.h"
 #include "src/reasoner/satisfiability.h"
 #include "src/reasoner/system_builder.h"

@@ -209,14 +209,8 @@ Result<SupportResult> ComputeMaximalSupport(
   // collected first, then applied in group-index order, so pivot counts,
   // witnesses, and verdicts are bit-identical at any parallelism.
   //
-  // Warm starts: every probe in this call has the same shape (the pinned
-  // system plus one `>= 1` row), so a local carry — seeded from
-  // `basis_cache`, refreshed after each round from the first feasible
-  // probe's export, stored back at the end — lets each probe start from
-  // the previous vertex instead of a cold phase 1; a carry that lands
-  // primal-infeasible for a probe is rejected and that probe runs cold.
-  // Probes read the carry concurrently (const access only); it is updated,
-  // and the cache touched, strictly between rounds.
+  // The rounds run cold: they are the forced-cold reference path, or the
+  // fallback after a failed cover LP, so no basis is carried into them.
   // Incremental path: compute the whole maximal support with ONE LP
   // instead of O(support) feasibility probes. For each unpinned variable
   // x_u add a deficit variable y_u >= 0 with `x_u + y_u >= 1`, and
@@ -302,16 +296,6 @@ Result<SupportResult> ComputeMaximalSupport(
   }
 
   constexpr size_t kMaxGroupsPerRound = 8;
-  const int probe_constraints =
-      static_cast<int>(pinned.constraints().size()) + 1;
-  WarmStartBasis carry;
-  if (basis_cache != nullptr) {
-    const WarmStartBasis* cached =
-        basis_cache->Lookup(pinned.num_variables(), probe_constraints);
-    if (cached != nullptr) {
-      carry = *cached;
-    }
-  }
   std::vector<VarId> undetermined;
   for (VarId v = 0; v < pinned.num_variables(); ++v) {
     undetermined.push_back(v);
@@ -337,7 +321,6 @@ Result<SupportResult> ComputeMaximalSupport(
                        undetermined.begin() + end);
     }
     std::vector<std::optional<Result<LpResult>>> verdicts(num_groups);
-    std::vector<WarmStartBasis> exported(num_groups);
     GlobalThreadPool().ParallelFor(num_groups, [&](size_t g) {
       LinearSystem probe = pinned;
       LinearExpr at_least_one;
@@ -347,10 +330,6 @@ Result<SupportResult> ComputeMaximalSupport(
       at_least_one.AddConstant(Rational(-1));
       probe.AddGe(std::move(at_least_one));
       SimplexOptions options;
-      if (!carry.empty()) {
-        options.warm_start = &carry;
-      }
-      options.export_basis = &exported[g];
       options.guard = guard;
       verdicts[g] = SimplexSolver::SolveWith(probe, LinearExpr(),
                                              /*maximize=*/false, options);
@@ -381,15 +360,6 @@ Result<SupportResult> ComputeMaximalSupport(
         }
       }
     }
-    // Adopt the first feasible probe's basis (group order, so independent
-    // of scheduling) as the carry for the next round and, ultimately, the
-    // caller's next same-shaped call.
-    for (size_t g = 0; g < num_groups; ++g) {
-      if (!exported[g].empty()) {
-        carry = std::move(exported[g]);
-        break;
-      }
-    }
     std::vector<VarId> still_undetermined;
     for (VarId v : undetermined) {
       if (!proven_zero[v] && !result.positive[from_probe[v]]) {
@@ -397,10 +367,6 @@ Result<SupportResult> ComputeMaximalSupport(
       }
     }
     undetermined = std::move(still_undetermined);
-  }
-  if (basis_cache != nullptr && !carry.empty()) {
-    basis_cache->Store(pinned.num_variables(), probe_constraints,
-                       std::move(carry));
   }
   return result;
 }

@@ -74,20 +74,16 @@ struct SupportResult {
 /// and verdict application are independent of the thread count, so results
 /// are bit-identical at any parallelism.
 ///
-/// `basis_cache`, when non-null, threads warm-start bases across
-/// *successive calls* (e.g. the implication engine's bisection probes,
-/// which differ only in one overridden cardinality coefficient, or a
-/// satisfiability fixpoint whose pinned-out set grows between iterations).
-/// Every probe of this call shares one shape — the pinned system plus a
-/// single `>= 1` row — so the call keeps a local carry: it is seeded from
-/// the cache entry for that shape, every probe (in every round) offers it
-/// to the solver, after each round the first feasible probe's exported
-/// basis (in group order, so deterministic at any thread count) becomes
-/// the new carry, and the final carry is stored back. A carried basis that
-/// is no longer primal-feasible for a probe is rejected and that probe
-/// runs a cold phase 1 (see `SimplexOptions::warm_start`); reuse affects
-/// cost only, never verdicts. The cache is touched only outside the
-/// parallel region — concurrent probes share the carry read-only.
+/// While `IncrementalReasoningEnabled()`, one cover LP computes the whole
+/// support instead of the probe rounds (see the .cc); the rounds run on the
+/// forced-cold path and after a failed cover LP. `basis_cache`, when
+/// non-null, threads the cover LP's warm-start basis across *successive
+/// calls* (e.g. the implication engine's bisection probes, which differ
+/// only in one overridden cardinality coefficient, or a satisfiability
+/// fixpoint whose pinned-out set grows between iterations). A carried
+/// basis that is no longer primal-feasible is rejected and the solve runs
+/// a cold phase 1 (see `SimplexOptions::warm_start`); reuse affects cost
+/// only, never verdicts. The probe rounds carry no basis.
 ///
 /// `guard`, when non-null, is polled between probe rounds, by every lane of
 /// the parallel probe sweep, and per pivot inside each probe's solve; a

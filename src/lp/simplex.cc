@@ -1067,7 +1067,6 @@ Result<LpResult> SolveWithImpl(const LinearSystem& system,
   // carried bases entirely so every solve runs the exact code path the
   // differential tests compare against.
   SimplexOptions effective = options;
-  const DegradationPolicy policy = GetDegradationPolicy();
   if (effective.warm_start != nullptr && !IncrementalReasoningEnabled()) {
     effective.warm_start = nullptr;
   }
@@ -1089,12 +1088,11 @@ Result<LpResult> SolveWithImpl(const LinearSystem& system,
   WarmDisposition warm;
 
   bool try_fast_tier = effective.tier == SimplexOptions::Tier::kTwoTier;
-  if (try_fast_tier &&
-      (!policy.allow_fast_tier || CRSAT_FAILPOINT("lp/fast_tier_overflow"))) {
-    // Rung 1 -> 2 without attempting the int64 tier: the policy forbids
-    // it, or an injected overflow simulates the fast tier failing at the
-    // earliest possible point. Either way the exact re-solve below is the
-    // same code the genuine overflow path runs.
+  if (try_fast_tier && CRSAT_FAILPOINT("lp/fast_tier_overflow")) {
+    // Rung 1 -> 2 without attempting the int64 tier: an injected overflow
+    // simulates the fast tier failing at the earliest possible point. The
+    // exact re-solve below is the same code the genuine overflow path
+    // runs.
     try_fast_tier = false;
     BumpStat(stats.tier_fallbacks);
     BumpStat(GetRecoveryStats().tier_fallbacks);

@@ -7,14 +7,13 @@
 #include <sstream>
 #include <utility>
 
-#include "src/analysis/empty_classes.h"
 #include "src/base/degradation.h"
 #include "src/base/deterministic.h"
 #include "src/base/failpoint.h"
 #include "src/base/resource_guard.h"
 #include "src/base/string_util.h"
-#include "src/baseline/fast_path.h"
 #include "src/baseline/ln_reasoner.h"
+#include "src/command/command.h"
 #include "src/lp/simplex.h"
 #include "src/reasoner/implication_engine.h"
 #include "src/cr/interpretation.h"
@@ -24,7 +23,6 @@
 #include "src/generator/random_schema.h"
 #include "src/oracle/metamorphic.h"
 #include "src/oracle/schema_parts.h"
-#include "src/reasoner/satisfiability.h"
 #include "src/saturation/graph.h"
 #include "src/saturation/saturation.h"
 #include "src/witness/witness.h"
@@ -48,26 +46,20 @@ bool IsBenignWitnessFailure(StatusCode code) {
          code == StatusCode::kCancelled;
 }
 
-/// The production verdict path — the same expansion -> known-empty feed ->
-/// satisfiability pipeline `crsat_cli check` runs. `inject_flip_class`
-/// (when in range) flips one verdict, simulating a reasoner bug.
-/// `expansion_options` lets the chaos driver thread a resource guard
-/// through the whole pipeline (the options travel with the built
-/// expansion into every downstream layer).
-Result<std::vector<bool>> ReasonerVerdicts(
-    const Schema& schema, int inject_flip_class,
-    const ExpansionOptions& expansion_options = {}) {
-  Result<Expansion> expansion = Expansion::Build(schema, expansion_options);
-  if (!expansion.ok()) {
-    return expansion.status();
-  }
-  SatisfiabilityChecker checker(*expansion);
-  checker.SetKnownEmptyClasses(ComputeProvablyEmpty(schema).class_empty);
-  Result<std::vector<bool>> verdicts = checker.SatisfiableClasses();
-  if (!verdicts.ok()) {
-    return verdicts.status();
-  }
-  std::vector<bool> result = std::move(verdicts).value();
+/// The production verdict function, `command::DecideClasses`, held to its
+/// expansion pipeline. `crsat_cli check` takes the Lenzerini–Nobili route
+/// on ISA-free schemas instead; that route is the baseline voter itself,
+/// so the reasoner-vs-baseline comparison below referees both routes.
+/// `inject_flip_class` (when in range) flips one verdict, simulating a
+/// reasoner bug. `guard` lets the chaos driver bound the whole pipeline
+/// (it travels with the built expansion into every downstream layer).
+Result<std::vector<bool>> ReasonerVerdicts(const Schema& schema,
+                                           int inject_flip_class,
+                                           ResourceGuard* guard = nullptr) {
+  CRSAT_ASSIGN_OR_RETURN(command::ClassVerdicts decided,
+                         command::DecideClasses(schema, guard,
+                                                 /*allow_ln_route=*/false));
+  std::vector<bool> result = std::move(decided.satisfiable);
   if (inject_flip_class >= 0 &&
       inject_flip_class < static_cast<int>(result.size())) {
     result[inject_flip_class] = !result[inject_flip_class];
@@ -75,33 +67,24 @@ Result<std::vector<bool>> ReasonerVerdicts(
   return result;
 }
 
-/// Synthesizes a certified witness when some class is satisfiable.
-/// Failure statuses propagate so the caller can tell a benign resource
-/// limit from a semantic failure: the production pipeline promises that
-/// whenever it reports a satisfiable class it can also certify a model,
-/// so "reasoner says SAT but synthesis failed" is a conformance
-/// disagreement, not bad luck.
-Result<Interpretation> SynthesizeWitness(
-    const Schema& schema, const ExpansionOptions& expansion_options = {}) {
-  Result<Expansion> expansion = Expansion::Build(schema, expansion_options);
-  if (!expansion.ok()) {
-    return expansion.status();
-  }
-  SatisfiabilityChecker checker(*expansion);
-  Result<std::vector<bool>> verdicts = checker.SatisfiableClasses();
-  if (!verdicts.ok()) {
-    return verdicts.status();
-  }
-  if (std::none_of(verdicts->begin(), verdicts->end(),
+/// Synthesizes a certified witness when some class is satisfiable, over
+/// the same verdict pipeline. Failure statuses propagate so the caller can
+/// tell a benign resource limit from a semantic failure: the production
+/// pipeline promises that whenever it reports a satisfiable class it can
+/// also certify a model, so "reasoner says SAT but synthesis failed" is a
+/// conformance disagreement, not bad luck.
+Result<Interpretation> SynthesizeWitness(const Schema& schema,
+                                         ResourceGuard* guard = nullptr) {
+  CRSAT_ASSIGN_OR_RETURN(command::ClassVerdicts decided,
+                         command::DecideClasses(schema, guard,
+                                                 /*allow_ln_route=*/false));
+  if (std::none_of(decided.satisfiable.begin(), decided.satisfiable.end(),
                    [](bool satisfiable) { return satisfiable; })) {
     return Status(StatusCode::kInvalidArgument, "no satisfiable class");
   }
-  WitnessSynthesizer synthesizer(checker);
-  Result<CertifiedWitness> witness = synthesizer.Synthesize();
-  if (!witness.ok()) {
-    return witness.status();
-  }
-  return std::move(witness).value().TakeInterpretation();
+  WitnessSynthesizer synthesizer(*decided.checker);
+  CRSAT_ASSIGN_OR_RETURN(CertifiedWitness witness, synthesizer.Synthesize());
+  return std::move(witness).TakeInterpretation();
 }
 
 /// Degraded form for minimization predicates, where candidate schemas may
@@ -279,8 +262,7 @@ std::string ConformanceReport::ToJson() const {
         << ", \"derived_disjoint_pairs\": "
         << load(expand.derived_disjoint_pairs)
         << ", \"pruned_subtrees\": " << load(expand.pruned_subtrees)
-        << ", \"ln_short_circuits\": "
-        << load(GetFastPathStats().ln_short_circuits) << "},\n";
+        << "},\n";
   }
   out << "  \"disagreements\": [";
   bool first = true;
@@ -988,10 +970,8 @@ Result<ChaosReport> RunChaosConformance(
     };
 
     ResourceGuard guard;
-    ExpansionOptions faulted_options;
-    faulted_options.guard = &guard;
     Result<std::vector<bool>> faulted =
-        ReasonerVerdicts(schema, options.inject_flip_class, faulted_options);
+        ReasonerVerdicts(schema, options.inject_flip_class, &guard);
     if (faulted.ok()) {
       bool agreed = true;
       for (ClassId cls : schema.AllClasses()) {
@@ -1025,8 +1005,7 @@ Result<ChaosReport> RunChaosConformance(
     const bool any_sat = std::any_of(baseline->begin(), baseline->end(),
                                      [](bool b) { return b; });
     if (options.check_witnesses && any_sat) {
-      Result<Interpretation> witness =
-          SynthesizeWitness(schema, faulted_options);
+      Result<Interpretation> witness = SynthesizeWitness(schema, &guard);
       if (witness.ok()) {
         if (ModelChecker::IsModel(schema, *witness)) {
           ++report.witnesses_survived;

@@ -53,8 +53,7 @@ class CertifiedWitness {
   const Interpretation& interpretation() const { return interpretation_; }
   const WitnessStats& stats() const { return stats_; }
 
-  /// Moves the interpretation out (for callers that only need the model,
-  /// e.g. the legacy `ModelBuilder` facade).
+  /// Moves the interpretation out (for callers that only need the model).
   Interpretation&& TakeInterpretation() && {
     return std::move(interpretation_);
   }

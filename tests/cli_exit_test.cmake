@@ -91,4 +91,72 @@ expect_exit_env(0 "CRSAT_FAILPOINTS=lp/warm_start_reject=every:2"
 expect_exit_env(1 "CRSAT_FAILPOINTS=incremental/force_cold"
   check "${SCHEMAS}/figure1.cr")
 
+# `model` on an unsatisfiable class: exit 1, the refusal on stderr,
+# nothing on stdout.
+execute_process(
+  COMMAND ${CRSAT_CLI} model "${SCHEMAS}/figure1.cr" C
+  RESULT_VARIABLE model_exit
+  OUTPUT_VARIABLE model_out
+  ERROR_VARIABLE model_err)
+set(model_expected_err
+  "InvalidArgument: class 'C' is unsatisfiable; no model can populate it\n")
+if(NOT model_exit EQUAL 1 OR NOT model_out STREQUAL ""
+   OR NOT model_err STREQUAL model_expected_err)
+  message(FATAL_ERROR
+    "crsat_cli model figure1.cr C: expected exit 1 and\n"
+    "${model_expected_err}on stderr only, got exit ${model_exit}\n"
+    "--- stdout\n${model_out}--- stderr\n${model_err}")
+endif()
+
+# A generated ISA-free schema of 24 classes: a ring C0 -> ... -> C11 -> C0
+# where every C_i owns two R_i tuples and every C_{i+1} absorbs at most
+# one (so |C_{i+1}| >= 2|C_i| around the ring and every C_i is finitely
+# unsatisfiable), plus a satisfiable chain D0 -> ... -> D11. The expansion
+# would enumerate every subset of the 24 classes and exceed its limits;
+# plain `check` must still give every verdict under the default limits.
+set(ring_classes "")
+set(ring_body "")
+foreach(i RANGE 11)
+  math(EXPR next "(${i} + 1) % 12")
+  list(APPEND ring_classes "C${i}")
+  string(APPEND ring_body
+    "  relationship R${i}(P${i}: C${i}, Q${i}: C${next});\n"
+    "  card C${i} in R${i}.P${i} = (2, *);\n"
+    "  card C${next} in R${i}.Q${i} = (0, 1);\n")
+endforeach()
+foreach(i RANGE 11)
+  list(APPEND ring_classes "D${i}")
+endforeach()
+foreach(i RANGE 10)
+  math(EXPR next "${i} + 1")
+  string(APPEND ring_body
+    "  relationship S${i}(A${i}: D${i}, B${i}: D${next});\n"
+    "  card D${i} in S${i}.A${i} = (1, 1);\n")
+endforeach()
+list(JOIN ring_classes ", " ring_class_list)
+set(ring_schema "${CMAKE_CURRENT_BINARY_DIR}/cli_exit_isa_free_ring.cr")
+file(WRITE "${ring_schema}"
+  "schema IsaFreeRing {\n  class ${ring_class_list};\n${ring_body}}\n")
+execute_process(
+  COMMAND ${CRSAT_CLI} check "${ring_schema}"
+  RESULT_VARIABLE ring_exit
+  OUTPUT_VARIABLE ring_out
+  ERROR_VARIABLE ring_err)
+set(ring_expected "")
+foreach(i RANGE 11)
+  string(APPEND ring_expected "  UNSATISFIABLE  C${i}\n")
+endforeach()
+foreach(i RANGE 11)
+  string(APPEND ring_expected "  satisfiable    D${i}\n")
+endforeach()
+string(APPEND ring_expected
+  "schema has unpopulatable classes (see 'debug')\n")
+if(NOT ring_exit EQUAL 1 OR NOT ring_out STREQUAL ring_expected
+   OR NOT ring_err STREQUAL "")
+  message(FATAL_ERROR
+    "crsat_cli check on a 24-class ISA-free schema: expected exit 1 and "
+    "every verdict, got exit ${ring_exit}\n"
+    "--- stdout\n${ring_out}--- stderr\n${ring_err}")
+endif()
+
 message(STATUS "cli_exit_test: all exit-code expectations held")

@@ -40,8 +40,10 @@ TEST(IntegrationTest, PaperNarrativeEndToEnd) {
   // Section 3.3 / Theorem 3.3: Speaker is satisfiable; Figure 6's model.
   ClassId speaker = schema.FindClass("Speaker").value();
   EXPECT_TRUE(checker.IsClassSatisfiable(speaker).value());
-  Interpretation model =
-      ModelBuilder::BuildModelForClass(checker, speaker).value();
+  Interpretation model = WitnessSynthesizer(checker)
+                             .Synthesize()
+                             .value()
+                             .TakeInterpretation();
   EXPECT_TRUE(ModelChecker::IsModel(schema, model));
   EXPECT_FALSE(model.ClassExtension(speaker).empty());
 
@@ -139,9 +141,13 @@ TEST(IntegrationTest, RoundTripModelThroughToString) {
   NamedSchema parsed = ParseSchema(kMeetingText).value();
   Expansion expansion = Expansion::Build(parsed.schema).value();
   SatisfiabilityChecker checker(expansion);
-  ClassId talk = parsed.schema.FindClass("Talk").value();
-  Interpretation model =
-      ModelBuilder::BuildModelForClass(checker, talk).value();
+  ASSERT_TRUE(checker.IsClassSatisfiable(
+                  parsed.schema.FindClass("Talk").value())
+                  .value());
+  Interpretation model = WitnessSynthesizer(checker)
+                             .Synthesize()
+                             .value()
+                             .TakeInterpretation();
   std::string rendered = model.ToString();
   EXPECT_NE(rendered.find("Speaker = {"), std::string::npos);
   EXPECT_NE(rendered.find("Holds = {"), std::string::npos);

@@ -1,8 +1,13 @@
-#include "src/reasoner/model_builder.h"
+// Model construction from Psi_S solutions (Section 3.3, Figure 6),
+// through the witness pipeline's two entry points:
+// `WitnessSynthesizer::Synthesize` (from a checker's maximal support) and
+// `WitnessSynthesizer::SynthesizeFromSolution` (from a caller's integer
+// solution).
 
 #include <gtest/gtest.h>
 
 #include "src/cr/model_checker.h"
+#include "src/witness/witness.h"
 #include "tests/test_schemas.h"
 
 namespace crsat {
@@ -12,17 +17,31 @@ using crsat::testing::EmploymentSchema;
 using crsat::testing::Figure1Schema;
 using crsat::testing::MeetingSchema;
 
-TEST(ModelBuilderTest, MeetingModelRealizesFigure6Shape) {
+// The certified witness over the checker's maximal support: one model
+// populating every satisfiable class at once.
+Result<Interpretation> SynthesizeModel(const SatisfiabilityChecker& checker) {
+  WitnessSynthesizer synthesizer(checker);
+  CRSAT_ASSIGN_OR_RETURN(CertifiedWitness witness, synthesizer.Synthesize());
+  return std::move(witness).TakeInterpretation();
+}
+
+Result<Interpretation> ModelFromSolution(const Expansion& expansion,
+                                         const IntegerSolution& solution,
+                                         const WitnessOptions& options = {}) {
+  CRSAT_ASSIGN_OR_RETURN(CertifiedWitness witness,
+                         WitnessSynthesizer::SynthesizeFromSolution(
+                             expansion, solution, options));
+  return std::move(witness).TakeInterpretation();
+}
+
+TEST(WitnessModelTest, MeetingModelRealizesFigure6Shape) {
   // The paper's Figure 6 derives a model with 2 speaker-discussants and 2
   // talks from the solution of the disequation system. Our witness may
   // scale differently but must be a verified model populating Speaker.
   Schema schema = MeetingSchema();
   Expansion expansion = Expansion::Build(schema).value();
   SatisfiabilityChecker checker(expansion);
-  Interpretation model =
-      ModelBuilder::BuildModelForClass(checker,
-                                       schema.FindClass("Speaker").value())
-          .value();
+  Interpretation model = SynthesizeModel(checker).value();
   EXPECT_TRUE(ModelChecker::IsModel(schema, model));
   ClassId speaker = schema.FindClass("Speaker").value();
   ClassId discussant = schema.FindClass("Discussant").value();
@@ -33,26 +52,25 @@ TEST(ModelBuilderTest, MeetingModelRealizesFigure6Shape) {
   EXPECT_EQ(model.ClassExtension(speaker), model.ClassExtension(discussant));
 }
 
-TEST(ModelBuilderTest, BuildModelForUnsatisfiableClassFails) {
+TEST(WitnessModelTest, BuildModelForUnsatisfiableClassFails) {
   Schema schema = Figure1Schema();
   Expansion expansion = Expansion::Build(schema).value();
   SatisfiabilityChecker checker(expansion);
-  Result<Interpretation> result = ModelBuilder::BuildModelForClass(
-      checker, schema.FindClass("C").value());
+  EXPECT_FALSE(checker.IsClassSatisfiable(schema.FindClass("C").value())
+                   .value());
+  // Every Figure 1 class is unsatisfiable, so there is nothing to witness.
+  Result<Interpretation> result = SynthesizeModel(checker);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ModelBuilderTest, EmploymentModelBalancesDegrees) {
+TEST(WitnessModelTest, EmploymentModelBalancesDegrees) {
   // Every employee in exactly one department; departments need >= 3
   // employees: the witness must respect both.
   Schema schema = EmploymentSchema();
   Expansion expansion = Expansion::Build(schema).value();
   SatisfiabilityChecker checker(expansion);
-  Interpretation model =
-      ModelBuilder::BuildModelForClass(
-          checker, schema.FindClass("Department").value())
-          .value();
+  Interpretation model = SynthesizeModel(checker).value();
   EXPECT_TRUE(ModelChecker::IsModel(schema, model));
   ClassId department = schema.FindClass("Department").value();
   ClassId employee = schema.FindClass("Employee").value();
@@ -61,27 +79,27 @@ TEST(ModelBuilderTest, EmploymentModelBalancesDegrees) {
             3 * model.ClassExtension(department).size());
 }
 
-TEST(ModelBuilderTest, ZeroSolutionYieldsEmptyModel) {
+TEST(WitnessModelTest, ZeroSolutionYieldsEmptyModel) {
   Schema schema = MeetingSchema();
   Expansion expansion = Expansion::Build(schema).value();
   IntegerSolution zeros;
   zeros.class_counts.assign(expansion.classes().size(), BigInt(0));
   zeros.rel_counts.assign(expansion.relationships().size(), BigInt(0));
-  Interpretation model = ModelBuilder::BuildModel(expansion, zeros).value();
+  Interpretation model = ModelFromSolution(expansion, zeros).value();
   EXPECT_EQ(model.domain_size(), 0);
   EXPECT_TRUE(ModelChecker::IsModel(schema, model));
 }
 
-TEST(ModelBuilderTest, MismatchedSolutionSizeRejected) {
+TEST(WitnessModelTest, MismatchedSolutionSizeRejected) {
   Schema schema = MeetingSchema();
   Expansion expansion = Expansion::Build(schema).value();
   IntegerSolution bad;
   bad.class_counts.assign(1, BigInt(0));
   bad.rel_counts.assign(expansion.relationships().size(), BigInt(0));
-  EXPECT_FALSE(ModelBuilder::BuildModel(expansion, bad).ok());
+  EXPECT_FALSE(ModelFromSolution(expansion, bad).ok());
 }
 
-TEST(ModelBuilderTest, UnacceptableSolutionRejected) {
+TEST(WitnessModelTest, UnacceptableSolutionRejected) {
   // Tuples in a compound relationship whose component class is empty.
   SchemaBuilder builder;
   builder.AddClass("A");
@@ -93,13 +111,12 @@ TEST(ModelBuilderTest, UnacceptableSolutionRejected) {
   solution.class_counts.assign(expansion.classes().size(), BigInt(0));
   solution.rel_counts.assign(expansion.relationships().size(), BigInt(0));
   solution.rel_counts[0] = BigInt(1);
-  Result<Interpretation> result =
-      ModelBuilder::BuildModel(expansion, solution);
+  Result<Interpretation> result = ModelFromSolution(expansion, solution);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(ModelBuilderTest, DuplicateCollisionsResolvedByFlowOrScaling) {
+TEST(WitnessModelTest, DuplicateCollisionsResolvedByFlowOrScaling) {
   // One A, one B, and R pairing them with multiplicity exactly 2 on both
   // sides: at scale 1 the only candidate extension would need the tuple
   // (a, b) twice — impossible for a set. The builder must scale the
@@ -133,7 +150,7 @@ TEST(ModelBuilderTest, DuplicateCollisionsResolvedByFlowOrScaling) {
   ASSERT_GE(rel_index, 0);
   cramped.rel_counts[rel_index] = BigInt(2);
 
-  Interpretation model = ModelBuilder::BuildModel(expansion, cramped).value();
+  Interpretation model = ModelFromSolution(expansion, cramped).value();
   EXPECT_TRUE(ModelChecker::IsModel(schema, model));
   ClassId a = schema.FindClass("A").value();
   RelationshipId r = schema.FindRelationship("R").value();
@@ -141,7 +158,7 @@ TEST(ModelBuilderTest, DuplicateCollisionsResolvedByFlowOrScaling) {
   EXPECT_GE(model.RelationshipExtension(r).size(), 4u);
 }
 
-TEST(ModelBuilderTest, TernaryRelationshipRealized) {
+TEST(WitnessModelTest, TernaryRelationshipRealized) {
   SchemaBuilder builder;
   builder.AddClass("A");
   builder.AddClass("B");
@@ -153,36 +170,36 @@ TEST(ModelBuilderTest, TernaryRelationshipRealized) {
   Schema schema = builder.Build().value();
   Expansion expansion = Expansion::Build(schema).value();
   SatisfiabilityChecker checker(expansion);
-  Interpretation model =
-      ModelBuilder::BuildModelForClass(checker,
-                                       schema.FindClass("A").value())
-          .value();
+  ASSERT_TRUE(checker.IsClassSatisfiable(schema.FindClass("A").value())
+                  .value());
+  Interpretation model = SynthesizeModel(checker).value();
   EXPECT_TRUE(ModelChecker::IsModel(schema, model));
   EXPECT_FALSE(
       model.RelationshipExtension(schema.FindRelationship("T").value())
           .empty());
 }
 
-TEST(ModelBuilderTest, SizeCapEnforced) {
+TEST(WitnessModelTest, SizeCapEnforced) {
   Schema schema = EmploymentSchema();
   Expansion expansion = Expansion::Build(schema).value();
   SatisfiabilityChecker checker(expansion);
   IntegerSolution solution = checker.AcceptableIntegerSolution().value();
-  ModelBuildOptions options;
+  WitnessOptions options;
   options.max_model_size = 1;  // Far below any witness for this schema.
   Result<Interpretation> result =
-      ModelBuilder::BuildModel(expansion, solution, options);
+      ModelFromSolution(expansion, solution, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kUnavailable);
 }
 
-TEST(ModelBuilderTest, ModelsForEveryMeetingClassVerify) {
+TEST(WitnessModelTest, ModelsForEveryMeetingClassVerify) {
   Schema schema = MeetingSchema();
   Expansion expansion = Expansion::Build(schema).value();
   SatisfiabilityChecker checker(expansion);
   for (ClassId cls : schema.AllClasses()) {
-    Interpretation model =
-        ModelBuilder::BuildModelForClass(checker, cls).value();
+    ASSERT_TRUE(checker.IsClassSatisfiable(cls).value())
+        << schema.ClassName(cls);
+    Interpretation model = SynthesizeModel(checker).value();
     EXPECT_TRUE(ModelChecker::IsModel(schema, model))
         << schema.ClassName(cls);
     EXPECT_FALSE(model.ClassExtension(cls).empty()) << schema.ClassName(cls);
